@@ -86,15 +86,11 @@ def sld_qfi(rho: QuantumState, H: Observable) -> float:
     _check_dims(rho, H)
     w = rho.eigenvalues
     V = rho.eigenvectors
-    Ht = V.conj().T @ H.matrix @ V
-    total = 0.0
-    d = rho.dim
-    for j in range(d):
-        for k in range(d):
-            s = w[j] + w[k]
-            if s > QFI_SUPPORT_TOL:
-                total += 2.0 * (w[j] - w[k]) ** 2 / s * abs(Ht[j, k]) ** 2
-    return max(total, 0.0)
+    h_sq = np.abs(V.conj().T @ H.matrix @ V) ** 2
+    s = w[:, None] + w[None, :]
+    support = s > QFI_SUPPORT_TOL
+    terms = 2.0 * (w[:, None] - w[None, :]) ** 2 / np.where(support, s, 1.0) * h_sq
+    return max(float(np.sum(terms, where=support)), 0.0)
 
 
 def lindblad_coherence(rho: QuantumState, L) -> float:

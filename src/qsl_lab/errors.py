@@ -34,7 +34,8 @@ class FrozenState(QslError):
 
 
 class BadAlpha(QslError):
-    """Non-positive alpha passed to a spectral-power bound."""
+    """Alpha (or alpha grid) that is not finite and positive, or a grid that
+    is empty or not 1-D, passed to a spectral-power bound."""
 
 
 class BadGrid(QslError):

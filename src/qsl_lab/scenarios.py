@@ -5,10 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -232,26 +230,14 @@ def _run_compare(sc: Scenario) -> ResultTable:
                        metadata=_meta(sc, inputs_digest=rep.inputs_digest))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QSL_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else min(8, os.cpu_count() or 1)
-
-
 def sweep_instances(instances: int, dim: int, rank: int, seed: int):
-    """Deterministic per-index random (rho1, H, t, rho2) tuples."""
-    def build(i: int):
+    """Deterministic per-index random (rho1, H, t, rho2) tuples, in index order."""
+    for i in range(instances):
         base = seed * 100_003 + i
         rho1 = random_state(dim, rank, base)
         H = random_observable(dim, base + 50_021)
         t = float(np.random.default_rng(base + 90_001).uniform(1e-3, np.pi))
-        return i, rho1, H, t, evolve_unitary(rho1, H, t)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        yield from pool.map(build, range(instances))
+        yield i, rho1, H, t, evolve_unitary(rho1, H, t)
 
 
 def _run_sweep(sc: Scenario) -> ResultTable:
@@ -277,9 +263,7 @@ def _run_sweep(sc: Scenario) -> ResultTable:
                 rep.mt_fidelity <= t + slack, rep.qfi <= t + slack,
                 rep.campo <= t + slack, order]
 
-    items = list(sweep_instances(instances, dim, rank, seed))
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(evaluate, items))
+    rows = [evaluate(item) for item in sweep_instances(instances, dim, rank, seed)]
     cols = ("instance", "dim", "t", "tl", "tl_alpha_max", "mt_fidelity", "qfi",
             "campo", "tl_valid", "alpha_valid", "mt_valid", "qfi_valid",
             "campo_valid", "ordering_ok")
@@ -334,9 +318,11 @@ def markovian_curve(lambda1: float, tau_grid) -> ResultTable:
 
     Columns: the path-length bound (<= tau on any grid), the
     relative-purity competitor on the same endpoints, and the two
-    closed-form variants of the average-coherence bound (as printed /
-    with the corrected constant), which assume the square root follows
-    the semigroup.
+    closed-form variants of the average-coherence quotient (as printed /
+    with the corrected constant). Those two integrate the semigroup
+    square-root speed sqrt(2Q(rho_t, L)), which is not the speed of
+    sqrt(rho_t) for this amplitude-damping model, so they are not bounds:
+    avg_coherence_closed_form exceeds tau (5.08 at tau = 3, lambda1 = -0.9).
     """
     taus = np.asarray(tau_grid, dtype=float)
     model, rho0 = _simple_case_model(lambda1)
@@ -356,7 +342,7 @@ def markovian_curve(lambda1: float, tau_grid) -> ResultTable:
             break
     exceeds_at_end = bool(rows[-1][1] > rows[-1][2]) if rows else False
     cols = ("tau", "markovian_bound", "campo_style", "closed_form_verbatim",
-            "closed_form_corrected")
+            "avg_coherence_closed_form")
     return ResultTable(columns=cols, rows=rows,
                        metadata={"lambda1": lambda1, "crossover_tau": crossover,
                                  "exceeds_campo_at_end": exceeds_at_end,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsl_lab.bounds import (
+    DEFAULT_ALPHA_GRID,
     acos_mixing_lemma,
     alpha_bound,
     alpha_bound_max,
@@ -37,6 +38,7 @@ from qsl_lab.operator_core import (
     random_observable,
     random_state,
     tensor,
+    unitary_of,
 )
 
 CASE3_R2 = [-4 * np.sqrt(3) / 15, np.sqrt(2) / 15, -1 / 6]
@@ -140,6 +142,89 @@ def test_alpha_bound_max_brute_force():
     vals = [alpha_bound(rho1, H, rho2, float(x)) for x in grid]
     assert abs(v - max(vals)) < 1e-12
     assert v >= alpha_bound(rho1, H, rho2, 1.0) - 1e-12
+
+
+def _oracle_max(rho1, H, rho2):
+    return max(alpha_bound(rho1, H, rho2, float(a)) for a in DEFAULT_ALPHA_GRID)
+
+
+def _oracle_tol(rho1, rho2):
+    # a roundoff delta in the overlap (the eigendecompositions of rho1 and
+    # rho2 carry it) moves a small angle theta by about delta / theta^2
+    # relative, in the matrix oracle and in the grid kernel alike; delta =
+    # 1e-13 is some 450 ulp, against at most ~40 ulp measured for d = 2-6
+    theta = bargmann_angle(rho1, rho2)
+    return 1e-10 + 1e-13 / max(theta, 1e-12) ** 2
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_alpha_bound_max_matches_single_alpha_oracle(dim):
+    for rank in sorted({1, (dim + 1) // 2, dim}):
+        for seed in range(4):
+            rho1 = random_state(dim, rank, 1000 * dim + 10 * rank + seed)
+            H = random_observable(dim, 2000 * dim + 10 * rank + seed)
+            for t in (1e-3, 0.4, 2.1):
+                rho2 = evolve_unitary(rho1, H, t)
+                _, v = alpha_bound_max(rho1, H, rho2)
+                want = _oracle_max(rho1, H, rho2)
+                assert abs(v - want) <= _oracle_tol(rho1, rho2) * want
+
+
+def test_alpha_bound_max_degenerate_spectrum():
+    rho1 = QuantumState(np.diag([0.5, 0.5, 0.0]))
+    for seed in range(5):
+        H = random_observable(3, 60 + seed)
+        for t in (1e-3, 0.5, 2.0):
+            rho2 = evolve_unitary(rho1, H, t)
+            _, v = alpha_bound_max(rho1, H, rho2)
+            want = _oracle_max(rho1, H, rho2)
+            assert abs(v - want) <= _oracle_tol(rho1, rho2) * want
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_alpha_bound_max_pure_states_take_smallest_alpha(dim):
+    # rho^{a/2} = rho for a pure state, so every alpha gives the same bound
+    for seed in range(10):
+        rho1 = random_state(dim, 1, 3000 * dim + seed)
+        H = random_observable(dim, 4000 * dim + seed)
+        for t in (1e-3, 0.3, 1.7):
+            rho2 = evolve_unitary(rho1, H, t)
+            a, v = alpha_bound_max(rho1, H, rho2)
+            assert a == 0.25
+            want = alpha_bound(rho1, H, rho2, 1.0)
+            assert abs(v - want) <= _oracle_tol(rho1, rho2) * want
+
+
+def test_alpha_bound_max_frozen_state_parity():
+    # H diagonal in rho1's eigenbasis commutes with every rho1^{a/2}
+    R = unitary_of(random_observable(3, 70), 0.9)
+    rho1 = QuantumState(R @ np.diag([0.6, 0.3, 0.1]) @ R.conj().T)
+    rho2 = QuantumState(R @ np.diag([0.1, 0.3, 0.6]) @ R.conj().T)
+    H = Observable(R @ np.diag([1.0, -0.5, 2.0]) @ R.conj().T)
+    for a in (0.5, 1.0, 3.0):
+        with pytest.raises(FrozenState):
+            alpha_bound(rho1, H, rho2, a)
+    with pytest.raises(FrozenState):
+        alpha_bound_max(rho1, H, rho2)
+    assert alpha_bound(rho1, H, rho1, 1.0) == 0.0
+    assert alpha_bound_max(rho1, H, rho1) == (0.25, 0.0)
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.5, -np.inf], [[0.5, 1.0]],
+                                  [], [0.5, 0.0], ["x"]])
+def test_bad_alpha_grid_rejected(grid):
+    rho1, H, rho2 = case3()
+    with pytest.raises(BadAlpha):
+        alpha_bound_max(rho1, H, rho2, grid)
+    with pytest.raises(BadAlpha):
+        bound_report(rho1, H, rho2, alpha_grid=grid)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 0.0, -1.0, [1.0], "x"])
+def test_bad_alpha_rejected(alpha):
+    rho1, H, rho2 = case3()
+    with pytest.raises(BadAlpha):
+        alpha_bound(rho1, H, rho2, alpha)
 
 
 def test_mt_and_qfi_bounds():

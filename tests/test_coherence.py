@@ -149,6 +149,33 @@ def test_sld_qfi_two_level_closed_form():
         assert abs(sld_qfi(rho, H) - manual) < 1e-10
 
 
+def _sld_qfi_loop(rho, H):
+    """Reference double loop over the eigenbasis, same support rule."""
+    w, V = rho.eigenvalues, rho.eigenvectors
+    Ht = V.conj().T @ H.matrix @ V
+    total = 0.0
+    for j in range(rho.dim):
+        for k in range(rho.dim):
+            s = w[j] + w[k]
+            if s > 1e-12:
+                total += 2.0 * (w[j] - w[k]) ** 2 / s * abs(Ht[j, k]) ** 2
+    return max(total, 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_sld_qfi_matches_double_loop(dim):
+    # same terms, summed in another order: d^2 terms of a few ulp each
+    for rank in range(1, dim + 1):
+        for seed in range(4):
+            rho = random_state(dim, rank, 500 * dim + 10 * rank + seed)
+            H = random_observable(dim, 700 * dim + 10 * rank + seed)
+            want = _sld_qfi_loop(rho, H)
+            assert abs(sld_qfi(rho, H) - want) <= 1e-13 * want
+    degenerate = QuantumState(np.diag([0.5, 0.5, 0.0]))
+    H = random_observable(3, 11)
+    assert abs(sld_qfi(degenerate, H) - _sld_qfi_loop(degenerate, H)) <= 1e-13
+
+
 def test_unitary_invariance():
     rho = random_state(3, 3, 17)
     H = random_observable(3, 18)

@@ -90,6 +90,16 @@ def test_run_bound_case1(tmp_path):
     assert row["tl"] <= row["actual_time"] + 1e-8
 
 
+def test_nan_alpha_grid_exits_with_error(tmp_path, capsys):
+    # the JSON reader accepts NaN and the schema lets it through
+    payload = dict(CASE1, options={"alpha_grid": [float("nan")]})
+    path = write_scenario(tmp_path, payload)
+    assert "NaN" in open(path).read()
+    assert main(["bound", "--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert "alpha grid" in captured.err and "inf" not in captured.out
+
+
 def test_run_compare_case3():
     table = run(parse_scenario(bundled_scenario("case3")))
     vals = {name: v for name, v in table.rows}
@@ -138,6 +148,10 @@ def test_markovian_curve_metadata():
     assert isinstance(table.metadata["exceeds_campo_at_end"], bool)
     for row in table.rows:
         assert row[3] <= row[0] + 1e-9  # printed closed form stays below tau
+    # the corrected-constant column is an average-coherence quotient, not a
+    # bound: it exceeds tau once the decay has set in
+    assert table.columns[4] == "avg_coherence_closed_form"
+    assert table.rows[-1][4] > table.rows[-1][0]
 
 
 def test_mixing_example_geometry():
