@@ -9,6 +9,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (
+    BadGrid,
     BadUnitVector,
     BasisMismatch,
     DimMismatch,
@@ -25,22 +26,24 @@ from .operator_core import (
     herm_deviation,
     hermitian_eig,
     hermitianize,
-    psd_sqrt,
     unitary_of,
     validate_bloch,
 )
 
 REHERM_TOL = 1e-8
 STATE_EIG_TOL = 1e-8
+SCAN_NODES_PER_PERIOD = 8
+MAX_SCAN_NODES = 2**17
 
 
 @dataclass(frozen=True)
 class LindbladModel:
     """Generator L rho = (i/hbar)[rho, H] + (1/2) sum c_ij ([A_i, rho A_j†] + [A_i rho, A_j†]).
 
-    H may be None for a purely dissipative generator. coeffs must be
-    Hermitian; a non-PSD coeff matrix only triggers a warning (the map is
-    then not guaranteed completely positive).
+    H may be None for a purely dissipative generator, and jump_ops may be
+    empty (with a (0, 0) coeffs) for a purely Hamiltonian one, but not
+    both. coeffs must be Hermitian; a non-PSD coeff matrix only triggers a
+    warning (the map is then not guaranteed completely positive).
     """
 
     H: Observable | None
@@ -51,11 +54,13 @@ class LindbladModel:
     def __init__(self, H, jump_ops, coeffs, hbar: float = 1.0) -> None:
         ops = tuple(np.asarray(A, dtype=complex) for A in jump_ops)
         c = np.asarray(coeffs, dtype=complex)
+        if H is None and not ops:
+            raise DimMismatch("a generator needs a Hamiltonian or a jump operator")
         if c.shape != (len(ops), len(ops)):
             raise DimMismatch(f"coeff matrix {c.shape} vs {len(ops)} jump operators")
-        if herm_deviation(c) > 1e-12:
+        if ops and herm_deviation(c) > 1e-12:
             raise NonHermitian("coefficient matrix must be Hermitian")
-        if len(ops) and np.linalg.eigvalsh(hermitianize(c)).min() < -1e-10:
+        if ops and np.linalg.eigvalsh(hermitianize(c)).min() < -1e-10:
             warnings.warn("coefficient matrix is not PSD; map may not be completely positive",
                           stacklevel=2)
         d = H.dim if H is not None else ops[0].shape[0]
@@ -95,23 +100,57 @@ class LindbladModel:
 
 
 def build_superoperator(L: LindbladModel) -> np.ndarray:
-    """d^2 x d^2 matrix of the generator acting on row-major vectorized operators."""
+    """d^2 x d^2 matrix of the generator acting on row-major vectorized operators.
+
+    Assembled from vec(A X B) = (A kron B^T) vec X:
+        S = (i/hbar)(H kron I - I kron H^T)
+            + sum_ij c_ij [A_i kron conj(A_j) - (K kron I + I kron K^T) / 2],
+    with K = sum_ij c_ij A_j† A_i.
+    """
     d = L.dim
+    eye = np.eye(d)
     S = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d * d):
-        E = np.zeros(d * d, dtype=complex)
-        E[k] = 1.0
-        S[:, k] = L.apply(E.reshape(d, d)).reshape(-1)
+    if L.H is not None:
+        Hm = L.H.matrix
+        S += 1j / L.hbar * (np.kron(Hm, eye) - np.kron(eye, Hm.T))
+    if L.jump_ops:
+        A = np.array(L.jump_ops)
+        S += np.einsum("ij,iab,jcd->acbd", L.coeffs, A, A.conj()).reshape(d * d, d * d)
+        K = np.einsum("ij,jba,ibc->ac", L.coeffs, A.conj(), A)
+        S -= 0.5 * (np.kron(K, eye) + np.kron(eye, K.T))
     return S
 
 
+def _dagger(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One propagation evaluated at every node of a time grid.
+
+    states and roots are (n, d, d) stacks: the clipped, renormalised
+    density matrices and their positive square roots, both built from one
+    eigendecomposition per node. clipped_mass is the total weight of the
+    negative eigenvalues set to zero, max_herm_repair the largest
+    Hermiticity deviation removed, both over all nodes.
+    """
+
+    states: np.ndarray
+    roots: np.ndarray
+    clipped_mass: float
+    max_herm_repair: float
+
+
 class LindbladPropagator:
-    """Caches exp(t S) evaluation for repeated propagation of one model."""
+    """Caches the eigendecomposition of S for repeated propagation of one model."""
 
     def __init__(self, L: LindbladModel) -> None:
         self.model = L
         self.S = build_superoperator(L)
         w, V = np.linalg.eig(self.S)
+        # fastest angular frequency of the semigroup, for time-grid steps
+        self.max_frequency = float(np.abs(w.imag).max())
         cond = np.linalg.cond(V)
         if np.isfinite(cond) and cond < 1e8:
             self._eig = (w, V, np.linalg.inv(V))
@@ -124,24 +163,50 @@ class LindbladPropagator:
             return (V * np.exp(w * t)) @ Vinv
         return expm(self.S * t)
 
-    def __call__(self, rho0: QuantumState, t: float) -> QuantumState:
-        v = self.propagator(t) @ rho0.matrix.reshape(-1)
-        M = v.reshape(rho0.dim, rho0.dim)
-        if herm_deviation(M) > REHERM_TOL:
+    def evolve_vec(self, v0: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """exp(t S) v0 for every t in ts, as the rows of an (n, d^2) array:
+        V e^{w t} V^-1 v0 in one broadcast, or expm node by node for a
+        defective generator."""
+        if self._eig is None:
+            return np.array([self.propagator(t) @ v0 for t in ts])
+        w, V, Vinv = self._eig
+        return (np.exp(np.outer(ts, w)) * (Vinv @ v0)) @ V.T
+
+    def trajectory(self, rho0: QuantumState, ts) -> Trajectory:
+        """rho0 propagated to every node of ts (any order), with the checks
+        of a single propagation applied to the whole stack: Hermiticity
+        deviation <= REHERM_TOL and no eigenvalue below -STATE_EIG_TOL, else
+        InvalidStateProduced; then negative eigenvalues are clipped and the
+        trace renormalised."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or ts.size == 0:
+            raise BadGrid("need a non-empty 1-D array of times")
+        d = rho0.dim
+        M = self.evolve_vec(rho0.matrix.reshape(-1), ts).reshape(ts.size, d, d)
+        herm_dev = float(np.abs(M - _dagger(M)).max())
+        if herm_dev > REHERM_TOL:
             raise InvalidStateProduced(
-                f"Hermiticity deviation {herm_deviation(M):.3e} after propagation")
-        M = hermitianize(M)
-        if np.linalg.eigvalsh(M).min() < -STATE_EIG_TOL:
+                f"Hermiticity deviation {herm_dev:.3e} after propagation")
+        w, V = np.linalg.eigh((M + _dagger(M)) / 2)
+        if w.min() < -STATE_EIG_TOL:
             raise InvalidStateProduced("negative eigenvalue beyond tolerance (non-CP model?)")
-        M = _clip_psd(M)
-        return QuantumState(M)
+        states, roots = _clip_spectra(w, V)
+        return Trajectory(states=states, roots=roots,
+                          clipped_mass=float(np.clip(-w, 0.0, None).sum()),
+                          max_herm_repair=herm_dev)
+
+    def __call__(self, rho0: QuantumState, t: float) -> QuantumState:
+        return QuantumState(self.trajectory(rho0, [t]).states[0])
 
 
-def _clip_psd(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(M)
+def _clip_spectra(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(states, square roots) from stacked Hermitian spectra: negative
+    eigenvalues become 0 and each spectrum is renormalised to trace 1."""
     w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    return hermitianize((V * w) @ V.conj().T)
+    w = w / w.sum(axis=-1, keepdims=True)
+    Vd = _dagger(V)
+    states, roots = (V * w[..., None, :]) @ Vd, (V * np.sqrt(w)[..., None, :]) @ Vd
+    return (states + _dagger(states)) / 2, (roots + _dagger(roots)) / 2
 
 
 def evolve_unitary(rho0: QuantumState, H: Observable, t: float) -> QuantumState:
@@ -247,7 +312,8 @@ def damping_basis_evolution(rho0: QuantumState, basis: DampingBasis, t: float) -
         M = M + np.trace(Li @ rho0.matrix) * np.exp(lam * t) * Ri
     if herm_deviation(M) > REHERM_TOL:
         raise InvalidStateProduced("damping-basis propagation lost Hermiticity")
-    return QuantumState(_clip_psd(hermitianize(M)))
+    w, V = np.linalg.eigh(hermitianize(M))
+    return QuantumState(_clip_spectra(w, V)[0])
 
 
 def affinity_closed_form_markovian(r, eigenvalues, w_eq: float, t: float) -> float:
@@ -290,10 +356,50 @@ def evolve_path(rho0: QuantumState, generator, times) -> EvolutionPath:
         states = tuple(evolve_unitary(rho0, generator, t) for t in times)
         tag = "unitary"
     else:
-        prop = LindbladPropagator(generator)
-        states = tuple(prop(rho0, t) for t in times)
+        traj = LindbladPropagator(generator).trajectory(rho0, times)
+        states = tuple(QuantumState(M) for M in traj.states)
         tag = "lindblad"
     return EvolutionPath(times=times, states=states, generator_tag=tag)
+
+
+def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
+    """(dist, frequency): dist maps an array of times to the distances
+    ||rho(t) - rho_target||_F, and frequency is the generator's fastest
+    angular frequency, (w_max - w_min)/hbar for a Hamiltonian and the
+    largest |Im lambda| of S for a Lindblad generator."""
+    target = rho_target.matrix
+    if isinstance(generator, Observable):
+        w, V = hermitian_eig(generator)
+        rho_eig = (V.conj().T @ rho0.matrix @ V).ravel()
+        tgt_eig = (V.conj().T @ target @ V).ravel()
+        gaps = np.subtract.outer(w, w).ravel() / generator.hbar
+
+        def dist(ts: np.ndarray) -> np.ndarray:
+            # e^{i (w_j - w_k) t} rho_jk - target_jk, built in one (n, d^2) buffer
+            diff = np.zeros((len(ts), gaps.size), dtype=complex)
+            np.outer(ts, gaps, out=diff.imag)
+            np.exp(diff, out=diff)
+            diff *= rho_eig
+            diff -= tgt_eig
+            return _row_norms(diff)
+
+        return dist, (w[0] - w[-1]) / generator.hbar
+    prop = LindbladPropagator(generator)
+    v0, v_target = rho0.matrix.reshape(-1), target.reshape(-1)
+
+    def dist(ts: np.ndarray) -> np.ndarray:
+        diff = prop.evolve_vec(v0, ts)
+        diff -= v_target
+        return _row_norms(diff)
+
+    return dist, prop.max_frequency
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous complex (n, k) array,
+    read through its float view so no temporary is made."""
+    flat = diff.view(float)
+    return np.sqrt(np.einsum("nk,nk->n", flat, flat))
 
 
 def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
@@ -301,34 +407,32 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
                        scan_nodes: int = 1000) -> float:
     """Earliest t in [0, t_max] with ||rho(t) - rho_target||_F <= tol.
 
-    Dense scan followed by bisection refinement to 1e-10 in t.
+    The distance is scanned in one broadcast on a uniform grid with at
+    least scan_nodes nodes and at least SCAN_NODES_PER_PERIOD nodes per
+    period of the generator's fastest frequency; a grid longer than
+    MAX_SCAN_NODES raises BadGrid. Each local minimum of the scan, the
+    bracket [0, t_1] included, is refined by golden-section search, earliest
+    first, and the first one that reaches tol is bisected to 1e-10 in t.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    target = rho_target.matrix
+    dists, freq = _passage_distance(rho0, generator, rho_target)
 
-    if isinstance(generator, Observable):
-        w, V = hermitian_eig(generator)
-        rho_eig = V.conj().T @ rho0.matrix @ V
-        tgt_eig = V.conj().T @ target @ V
+    def dist(t: float) -> float:
+        return float(dists(np.array([t]))[0])
 
-        def dist(t: float) -> float:
-            ph = np.exp(1j * w * t / generator.hbar)
-            return float(np.linalg.norm(np.outer(ph, ph.conj()) * rho_eig - tgt_eig))
-    else:
-        prop = LindbladPropagator(generator)
-
-        def dist(t: float) -> float:
-            v = prop.propagator(t) @ rho0.matrix.reshape(-1)
-            return float(np.linalg.norm(v - target.reshape(-1)))
-
-    ts = np.linspace(0.0, t_max, scan_nodes)
-    ds = np.array([dist(t) for t in ts])
+    n = max(scan_nodes, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
+    if n > MAX_SCAN_NODES:
+        raise BadGrid(f"first-passage scan needs {n} nodes, above the cap {MAX_SCAN_NODES} "
+                      f"(frequency {freq:.3e}, t_max {t_max})")
+    ts = np.linspace(0.0, t_max, n)
+    ds = dists(ts)
     if ds[0] <= tol:
         return 0.0
-    # candidate minima of the sampled distance, earliest first
+    # candidate minima of the sampled distance, earliest first; a minimum
+    # inside the first step shows only as ds[0] <= ds[1]
     interior = np.where((ds[1:-1] <= ds[:-2]) & (ds[1:-1] <= ds[2:]))[0] + 1
-    candidates = list(interior)
+    candidates = ([0] if ds[0] <= ds[1] else []) + list(interior)
     if ds[-1] < ds[-2]:
         candidates.append(len(ts) - 1)
     for i in candidates:
@@ -371,16 +475,15 @@ def sqrt_evolution_diagnostic(rho0: QuantumState, L: LindbladModel, t_grid,
 
     The claim that they agree is exact for unitary conjugation and for
     commuting (dephasing) structures but not in general; this only
-    reports the deviation, it takes no position.
+    reports the deviation, it takes no position. All three nodes of every
+    difference come from one propagation.
     """
     prop = LindbladPropagator(L)
-    devs = []
-    for t in np.asarray(t_grid, dtype=float):
-        sp = psd_sqrt(prop(rho0, t + fd_step).matrix)
-        sm = psd_sqrt(prop(rho0, max(t - fd_step, 0.0)).matrix)
-        dt = (t + fd_step) - max(t - fd_step, 0.0)
-        lhs = (sp - sm) / dt
-        rhs = L.apply(psd_sqrt(prop(rho0, t).matrix))
-        devs.append(float(np.linalg.norm(lhs - rhs)))
-    return {"times": np.asarray(t_grid, dtype=float), "deviations": np.array(devs),
-            "max_deviation": max(devs)}
+    ts = np.asarray(t_grid, dtype=float)
+    lo = np.maximum(ts - fd_step, 0.0)
+    roots = prop.trajectory(rho0, np.concatenate([ts + fd_step, lo, ts])).roots
+    sp, sm, s = roots.reshape(3, ts.size, rho0.dim, rho0.dim)
+    lhs = (sp - sm) / (ts + fd_step - lo)[:, None, None]
+    rhs = (s.reshape(ts.size, -1) @ prop.S.T).reshape(s.shape)
+    devs = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    return {"times": ts, "deviations": devs, "max_deviation": float(devs.max())}

@@ -39,7 +39,8 @@ class BadAlpha(QslError):
 
 
 class BadGrid(QslError):
-    """Time grid is empty, unsorted, or does not cover the interval."""
+    """Time grid is empty, unsorted, does not cover the interval, or needs
+    more nodes than the first-passage scan allows."""
 
 
 class NotReached(QslError):

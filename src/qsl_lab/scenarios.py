@@ -28,7 +28,7 @@ from .bounds import (
 from .coherence import affinity
 from .dynamics import (
     LindbladModel,
-    LindbladPropagator,
+    evolve_path,
     evolve_unitary,
     first_passage_time,
     squeezed_vacuum_model,
@@ -274,13 +274,10 @@ def _run_sweep(sc: Scenario) -> ResultTable:
 def _run_evolve(sc: Scenario) -> ResultTable:
     name = "rho0" if "rho0" in sc.states else "rho1"
     (rho0,) = _need(sc, name)
-    gen = sc.generator
     grid = sc.time if isinstance(sc.time, np.ndarray) else np.linspace(0.0, float(sc.time), 51)
     qubit = rho0.dim == 2
-    prop = None if isinstance(gen, Observable) else LindbladPropagator(gen)
     rows = []
-    for t in grid:
-        rho_t = evolve_unitary(rho0, gen, t) if prop is None else prop(rho0, t)
+    for t, rho_t in zip(grid, evolve_path(rho0, sc.generator, grid).states):
         row = [float(t), rho_t.purity(), affinity(rho0, rho_t)]
         if qubit:
             row.extend(float(x) for x in state_to_bloch(rho_t.matrix))

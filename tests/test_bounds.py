@@ -341,6 +341,27 @@ def test_markovian_bound_hamiltonian_reduction():
     assert abs(got - want) < 1e-6
 
 
+def test_markovian_bound_hamiltonian_only_generator():
+    # an empty jump set is a purely Hamiltonian generator
+    rho1 = bloch_to_state([0, 0, 0.5])
+    H = bloch_hamiltonian(CASE3_N)
+    tau = 1.1071487177940904
+    got = markovian_bound(rho1, LindbladModel(H, (), np.zeros((0, 0))), tau)
+    assert abs(got - tl_bound(rho1, H, evolve_unitary(rho1, H, tau))) < 1e-6
+
+
+def test_markovian_bound_pure_state_converges():
+    # from a pure rho0, sqrt(rho_t) moves like sqrt(t); the graded grid
+    # keeps the extrapolated path length converged (uniform grid: 1.95084
+    # at 201 nodes against 1.95082 at 801)
+    L, _ = squeezed_vacuum_model(0.6, 0.5, 0.1, rabi=0.7)
+    rho0 = bloch_to_state([0, 0, 1])
+    b201 = markovian_bound(rho0, L, 2.0, n_nodes=201)
+    b801 = markovian_bound(rho0, L, 2.0, n_nodes=801)
+    assert abs(b201 - b801) <= 1e-9 * b801
+    assert abs(b801 - 1.9508121) < 1e-7
+
+
 def test_markovian_bound_fixed_point():
     L, _ = squeezed_vacuum_model(0.5, 0.4, 0.1)
     assert markovian_bound(QuantumState(np.eye(2) / 2), L, 1.0) == 0.0
@@ -376,6 +397,22 @@ def test_campo_markovian_bound_valid():
     rho0 = bloch_to_state([1, 0, 0])
     for tau in (0.5, 1.0, 3.0):
         assert campo_markovian_bound(rho0, L, tau) <= tau + 1e-8
+
+
+def test_campo_markovian_bound_matches_apply_oracle():
+    # the batched ||S vec rho_t|| average against L.apply on each node
+    from scipy.integrate import simpson
+    from qsl_lab.coherence import relative_purity
+    from qsl_lab.dynamics import LindbladPropagator
+    L, _ = squeezed_vacuum_model(0.4, 0.5, 0.1, w_eq=0.2, rabi=0.6)
+    prop = LindbladPropagator(L)
+    rho0 = bloch_to_state([0.3, -0.5, 0.6])
+    tau = 2.3
+    ts = np.linspace(0.0, tau, 201)
+    vals = [np.linalg.norm(L.apply(prop(rho0, t).matrix)) for t in ts]
+    f = relative_purity(rho0, prop(rho0, tau))
+    want = abs(1 - f) * np.sqrt(rho0.purity()) / (simpson(vals, x=ts) / tau)
+    assert abs(campo_markovian_bound(rho0, L, tau) - want) <= 1e-13 * want
 
 
 def test_simple_case_closed_forms_consistent():

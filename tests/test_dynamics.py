@@ -5,6 +5,8 @@ from qsl_lab.coherence import affinity
 from qsl_lab.dynamics import (
     DampingBasis,
     LindbladModel,
+    LindbladPropagator,
+    _passage_distance,
     affinity_closed_form_markovian,
     build_superoperator,
     damping_basis_evolution,
@@ -16,7 +18,14 @@ from qsl_lab.dynamics import (
     sqrt_evolution_diagnostic,
     squeezed_vacuum_model,
 )
-from qsl_lab.errors import BadUnitVector, BasisMismatch, NotReached
+from qsl_lab.errors import (
+    BadGrid,
+    BadUnitVector,
+    BasisMismatch,
+    DimMismatch,
+    InvalidStateProduced,
+    NotReached,
+)
 from qsl_lab.operator_core import (
     PAULI_Z,
     SIGMA_MINUS,
@@ -25,9 +34,25 @@ from qsl_lab.operator_core import (
     bloch_hamiltonian,
     bloch_to_state,
     random_observable,
+    psd_sqrt,
     random_state,
     state_to_bloch,
 )
+
+
+def _random_model(d: int, seed: int, n_jumps: int = 2) -> LindbladModel:
+    """Driven model with a generic PSD (off-diagonal) coefficient matrix."""
+    rng = np.random.default_rng(seed)
+    jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)]
+    G = rng.normal(size=(n_jumps, n_jumps)) + 1j * rng.normal(size=(n_jumps, n_jumps))
+    return LindbladModel(random_observable(d, seed + 1), jumps, 0.2 * G @ G.conj().T)
+
+
+def _cascade(rate: float) -> LindbladModel:
+    """|2> -> |1> -> |0> at equal rates: a defective generator (expm fallback)."""
+    A1, A2 = np.zeros((3, 3)), np.zeros((3, 3))
+    A1[0, 1] = A2[1, 2] = 1.0
+    return LindbladModel(None, (A1, A2), rate * np.eye(2))
 
 
 def test_evolve_unitary_basics():
@@ -92,6 +117,81 @@ def test_superoperator_matches_direct_action():
     # Tr is a left null vector: column sums over diagonal entries vanish
     tr_row = np.eye(2).reshape(-1)
     assert np.abs(tr_row @ S).max() < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_superoperator_matches_apply_columns(d):
+    # the Kronecker assembly against S built column by column from apply
+    L = _random_model(d, 40 + d)
+    S = build_superoperator(L)
+    cols = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d * d):
+        E = np.zeros(d * d, dtype=complex)
+        E[k] = 1.0
+        cols[:, k] = L.apply(E.reshape(d, d)).reshape(-1)
+    assert np.abs(S - cols).max() < 1e-12
+
+
+def test_hamiltonian_only_generator():
+    rho = random_state(3, 2, 17)
+    H = random_observable(3, 18)
+    L = LindbladModel(H, (), np.zeros((0, 0)))
+    assert L.dim == 3
+    assert np.abs(evolve_lindblad(rho, L, 0.7).matrix
+                  - evolve_unitary(rho, H, 0.7).matrix).max() < 1e-12
+    with pytest.raises(DimMismatch):
+        LindbladModel(None, (), np.zeros((0, 0)))
+
+
+def _reference_state(L: LindbladModel, rho0: QuantumState, t: float) -> QuantumState:
+    """Node-by-node expm propagation with the clip-and-renormalise step."""
+    from scipy.linalg import expm
+    d = rho0.dim
+    M = (expm(build_superoperator(L) * t) @ rho0.matrix.reshape(-1)).reshape(d, d)
+    w, V = np.linalg.eigh((M + M.conj().T) / 2)
+    w = np.clip(w, 0.0, None)
+    return QuantumState((V * (w / w.sum())) @ V.conj().T)
+
+
+@pytest.mark.parametrize("model", ["squeezed_driven", "random_d3", "cascade_d3"])
+def test_trajectory_matches_single_propagation(model):
+    if model == "squeezed_driven":
+        L, _ = squeezed_vacuum_model(0.3, 0.5, 0.2, w_eq=0.1, rabi=0.7)
+        rho0 = random_state(2, 2, 19)
+    elif model == "random_d3":
+        L, rho0 = _random_model(3, 20), random_state(3, 2, 21)
+    else:
+        L, rho0 = _cascade(0.6), random_state(3, 3, 22)
+    prop = LindbladPropagator(L)
+    assert (prop._eig is None) == (model == "cascade_d3")
+    ts = np.linspace(0.0, 3.0, 13)[::-1]  # any order
+    traj = prop.trajectory(rho0, ts)
+    assert traj.states.shape == traj.roots.shape == (13, rho0.dim, rho0.dim)
+    assert traj.clipped_mass >= 0.0 and 0.0 <= traj.max_herm_repair <= 1e-8
+    for t, M, R in zip(ts, traj.states, traj.roots):
+        single = prop(rho0, t)
+        assert np.abs(M - single.matrix).max() < 1e-14
+        assert np.abs(R - psd_sqrt(single.matrix)).max() < 1e-7  # sqrt of roundoff eigenvalues
+        assert np.abs(R @ R - M).max() < 1e-14
+        assert np.abs(M - _reference_state(L, rho0, t).matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", ["eigen_path", "expm_path"])
+def test_non_cp_model_raises(model):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the coefficient matrix is not PSD
+        if model == "eigen_path":
+            L, rho0 = LindbladModel(None, (SIGMA_MINUS,), np.array([[-1.0]])), \
+                QuantumState(np.eye(2) / 2)
+        else:
+            L, rho0 = _cascade(-1.0), QuantumState(np.eye(3) / 3)
+    prop = LindbladPropagator(L)
+    assert (prop._eig is None) == (model == "expm_path")
+    with pytest.raises(InvalidStateProduced):
+        prop.trajectory(rho0, np.linspace(0.0, 2.0, 5))
+    with pytest.raises(InvalidStateProduced):
+        prop(rho0, 2.0)
 
 
 def test_amplitude_damping_fixed_point():
@@ -212,6 +312,64 @@ def test_first_passage_lindblad_round_trip():
     rho0 = bloch_to_state([0.6, 0.2, -0.3])
     target = evolve_lindblad(rho0, L, 0.7)
     assert abs(first_passage_time(rho0, L, target, tol=1e-9, t_max=3.0) - 0.7) < 1e-7
+
+
+@pytest.mark.parametrize("model", ["unitary", "lindblad_d2", "lindblad_d3", "cascade_d3"])
+def test_passage_scan_matches_scalar_distance(model):
+    rho0 = random_state(3 if model != "lindblad_d2" else 2, 2, 23)
+    if model == "unitary":
+        gen = random_observable(3, 24)
+    elif model == "lindblad_d2":
+        gen, _ = squeezed_vacuum_model(0.3, 0.5, 0.2, rabi=0.7)
+    elif model == "lindblad_d3":
+        gen = _random_model(3, 25)
+    else:
+        gen = _cascade(0.6)
+    target = random_state(rho0.dim, 1, 26)
+    ts = np.linspace(0.0, 4.0, 57)
+    dist, freq = _passage_distance(rho0, gen, target)
+    if model == "unitary":
+        w = np.linalg.eigvalsh(gen.matrix)
+        assert freq == pytest.approx(w[-1] - w[0], rel=1e-12)
+        want = [np.linalg.norm(evolve_unitary(rho0, gen, t).matrix - target.matrix)
+                for t in ts]
+    else:
+        prop = LindbladPropagator(gen)
+        assert freq == prop.max_frequency
+        want = [np.linalg.norm(prop.propagator(t) @ rho0.matrix.reshape(-1)
+                               - target.matrix.reshape(-1)) for t in ts]
+    assert np.abs(dist(ts) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("omega", [300.0, 1000.0])
+@pytest.mark.parametrize("kind", ["unitary", "lindblad"])
+def test_first_passage_high_frequency(omega, kind):
+    # 1000 fixed scan nodes alias these orbits: a later passage (unitary)
+    # or none at all (weakly damped) came back
+    rho = bloch_to_state([1, 0, 0])
+    if kind == "unitary":
+        gen = bloch_hamiltonian([0, 0, 1], omega=omega)
+        target = evolve_unitary(rho, gen, 0.37 / omega)
+    else:
+        gen = LindbladModel(Observable(omega * PAULI_Z), (SIGMA_MINUS,), np.array([[0.1]]))
+        target = evolve_lindblad(rho, gen, 0.37 / omega)
+    assert abs(first_passage_time(rho, gen, target) - 0.37 / omega) < 1e-10
+
+
+def test_first_passage_inside_first_step():
+    # t = 0.002 lies inside the first scan step (2 pi / 999); the earliest
+    # crossing below tol is tol / ||d rho / dt|| = 7e-10 before it
+    rho = bloch_to_state([1, 0, 0])
+    H = bloch_hamiltonian([0, 0, 1])
+    target = evolve_unitary(rho, H, 0.002)
+    assert abs(first_passage_time(rho, H, target) - 0.002) < 1e-9
+
+
+def test_first_passage_node_cap():
+    rho = bloch_to_state([1, 0, 0])
+    H = bloch_hamiltonian([0, 0, 1], omega=1e5)
+    with pytest.raises(BadGrid):
+        first_passage_time(rho, H, rho_target=evolve_unitary(rho, H, 1e-5))
 
 
 def test_evolution_path_trace_and_tags():
