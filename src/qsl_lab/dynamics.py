@@ -34,6 +34,7 @@ REHERM_TOL = 1e-8
 STATE_EIG_TOL = 1e-8
 SCAN_NODES_PER_PERIOD = 8
 MAX_SCAN_NODES = 2**17
+FLAT_SCAN_TOL = 1e-14  # adjacent scan distances closer than this agree to roundoff
 
 
 @dataclass(frozen=True)
@@ -402,6 +403,22 @@ def _row_norms(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nk,nk->n", flat, flat))
 
 
+def _flat_runs(ds: np.ndarray, candidates):
+    """Yield (first, last) of each run of candidate nodes, in order, where a
+    run joins neighbours whose stretch of ds is flat to FLAT_SCAN_TOL; lazy,
+    so the scan of runs stops where the caller stops."""
+    run = None
+    for i in candidates:
+        if run is not None and np.ptp(ds[run[1]:i + 1]) <= FLAT_SCAN_TOL:
+            run[1] = i
+            continue
+        if run is not None:
+            yield run
+        run = [i, i]
+    if run is not None:
+        yield run
+
+
 def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
                        tol: float = 1e-9, t_max: float = 2 * np.pi,
                        scan_nodes: int = 1000) -> float:
@@ -413,6 +430,8 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     MAX_SCAN_NODES raises BadGrid. Each local minimum of the scan, the
     bracket [0, t_1] included, is refined by golden-section search, earliest
     first, and the first one that reaches tol is bisected to 1e-10 in t.
+    Minima joined by a stretch where the scan is flat to FLAT_SCAN_TOL are
+    one bracket, so a constant curve costs one search, not one per node.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -435,8 +454,8 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     candidates = ([0] if ds[0] <= ds[1] else []) + list(interior)
     if ds[-1] < ds[-2]:
         candidates.append(len(ts) - 1)
-    for i in candidates:
-        lo = ts[max(i - 1, 0)]
+    for first, i in _flat_runs(ds, candidates):
+        lo = ts[max(first - 1, 0)]
         hi = ts[min(i + 1, len(ts) - 1)]
         # golden-section refinement of the local minimum
         gr = (np.sqrt(5.0) - 1.0) / 2.0
@@ -456,7 +475,7 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
         if dist(t_min) > tol:
             continue
         # bisect for the earliest crossing below tol
-        lo_t, hi_t = ts[max(i - 1, 0)], t_min
+        lo_t, hi_t = lo, t_min
         if dist(lo_t) <= tol:
             return float(lo_t)
         while hi_t - lo_t > 1e-10:

@@ -67,10 +67,6 @@ class IllConditioned(QslError):
     """Eigenvalue recovery from moments produced invalid roots."""
 
 
-class NoConvergence(QslError):
-    """Alignment search did not reach the residual target."""
-
-
 class ParseError(QslError):
     """Scenario file is not well-formed."""
 

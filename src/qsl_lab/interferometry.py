@@ -4,19 +4,18 @@ and end-to-end estimation of coherence, affinity, and the speed limit."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
 from .coherence import clamp_acos_arg
 from .dynamics import evolve_unitary
-from .errors import BadN, DimMismatch, IllConditioned, NoConvergence, ZeroShots
+from .errors import BadN, DimMismatch, IllConditioned, ZeroShots
 from .operator_core import Observable, QuantumState, commutator, hermitianize
 
 DEGENERACY_GAP = 1e-8
-EXACT_RESIDUAL_TOL = 1e-6
+# root clustering in eigs_from_power_sums
+CLUSTER_SPREAD = 4.0
+ROOT_RESIDUE_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,8 @@ class ShotEstimate:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """Aligned sigma1 = U (sqrt(rho1)/Tr sqrt(rho1)) U† and search telemetry."""
+    """Aligned sigma1 = sqrt(rho1)/Tr sqrt(rho1), its alignment residual, and
+    the number of search iterations (0: the alignment is in closed form)."""
 
     sigma1: QuantumState
     alignment_residual: float
@@ -57,26 +57,20 @@ def sample_swap_test(sigma1: QuantumState, sigma2: QuantumState,
                         std_error=2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots))
 
 
-def _cyclic_shift(dim: int, n: int) -> np.ndarray:
-    """Permutation operator sending factor i to factor i+1 (mod n) on (C^dim)^n."""
-    dn = dim**n
-    P = np.zeros((dn, dn))
-    for idx in range(dn):
-        digits = np.unravel_index(idx, (dim,) * n)
-        shifted = (digits[-1],) + digits[:-1]
-        P[np.ravel_multi_index(shifted, (dim,) * n), idx] = 1.0
-    return P
-
-
 def power_sums(rho: QuantumState, max_n: int) -> list[float]:
-    """Moments Tr(rho^n), n = 1..max_n, as expectations of the cyclic shift on rho^(x)n."""
+    """Moments Tr(rho^n), n = 1..max_n.
+
+    The swap network measures the cyclic shift S on rho^(x)n, and
+    Tr(S rho^(x)n) = Tr(rho^n) (Ekert et al., PRL 88, 217901, 2002), so the
+    moment is the trace of the running matrix power.
+    """
     if not 1 <= max_n <= rho.dim:
         raise BadN(f"max_n {max_n} outside 1..{rho.dim}")
     out = [1.0]
-    kron = rho.matrix
-    for n in range(2, max_n + 1):
-        kron = np.kron(kron, rho.matrix)
-        out.append(float(np.trace(_cyclic_shift(rho.dim, n) @ kron).real))
+    power = rho.matrix
+    for _ in range(2, max_n + 1):
+        power = power @ rho.matrix
+        out.append(float(np.trace(power).real))
     return out
 
 
@@ -84,23 +78,37 @@ def eigs_from_power_sums(moments) -> np.ndarray:
     """Invert Newton's identities and extract the spectrum, descending.
 
     moments[k-1] = Tr(rho^k) for k = 1..d; the first moment must be 1.
+    An m-fold eigenvalue is an m-fold root, which roundoff splits into a
+    star of radius ~(d eps)^(1/m): complex pairs, or a real pair around 0.
+    Adjacent roots (by real part) join one cluster when their gap is within
+    CLUSTER_SPREAD times their larger distance from [0, inf), and each
+    cluster becomes its mean. A cluster counts as one multiple root only if
+    the polynomial vanishes at its mean to ROOT_RESIDUE_ULPS * d * eps *
+    sum|c_k|, i.e. spread^m * |other roots' factor| is at roundoff.
+    IllConditioned is raised otherwise, as for moments that no PSD spectrum
+    has, and for a negative eigenvalue.
     """
     p = np.asarray(moments, dtype=float)
     d = p.size
     if abs(p[0] - 1.0) > 1e-9:
         raise IllConditioned(f"first moment {p[0]} is not 1")
-    e = np.zeros(d + 1)
-    e[0] = 1.0
+    # Newton's identities for the monic characteristic polynomial's
+    # coefficients c_k = (-1)^k e_k: k c_k = -sum_{i=1..k} c_{k-i} p_i
+    coeffs = np.zeros(d + 1)
+    coeffs[0] = 1.0
     for k in range(1, d + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        e[k] = acc / k
-    coeffs = [(-1) ** k * e[k] for k in range(d + 1)]
-    roots = np.roots(coeffs)
-    if np.abs(roots.imag).max() > 1e-8:
-        raise IllConditioned(f"complex root residue {np.abs(roots.imag).max():.3e}")
-    w = roots.real
+        coeffs[k] = -np.dot(coeffs[k - 1::-1], p[:k]) / k
+    roots = np.sort_complex(np.roots(coeffs))
+    defect = np.abs(roots - np.clip(roots.real, 0.0, None))
+    split = np.diff(roots.real) > CLUSTER_SPREAD * np.maximum(defect[:-1], defect[1:])
+    labels = np.concatenate([[0], np.cumsum(split)])
+    sizes = np.bincount(labels)
+    means = np.bincount(labels, roots.real) / sizes
+    residue = np.where(sizes > 1, np.abs(np.polyval(coeffs, means)), 0.0)
+    if residue.max() > ROOT_RESIDUE_ULPS * d * np.finfo(float).eps * np.abs(coeffs).sum():
+        raise IllConditioned(f"clustered roots are not one multiple root "
+                             f"(residue {residue.max():.3e})")
+    w = means[labels]
     if w.min() < -1e-8:
         raise IllConditioned(f"negative recovered eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
@@ -115,101 +123,44 @@ def prepare_sigma(eigenvalues, u_tilde) -> QuantumState:
     return QuantumState(hermitianize((U * w) @ U.conj().T))
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    """d^2 Hermitian generators: diagonal units plus symmetric/antisymmetric pairs."""
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    for i, j in combinations(range(d), 2):
-        S = np.zeros((d, d), dtype=complex)
-        S[i, j] = S[j, i] = 1.0
-        basis.append(S)
-        A = np.zeros((d, d), dtype=complex)
-        A[i, j] = -1j
-        A[j, i] = 1j
-        basis.append(A)
-    return basis
-
-
-def _alignment_targets(rho1: QuantumState) -> np.ndarray:
-    """Expected overlaps Tr(rho1^k sigma1) = Tr(rho1^{k+1/2}) / Tr sqrt(rho1), k=1..d-1."""
-    w = rho1.eigenvalues
-    tr_sqrt = np.sqrt(w).sum()
-    return np.array([(w ** (k + 0.5)).sum() / tr_sqrt for k in range(1, rho1.dim)])
-
-
 def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
-                           seed: int = 0, max_iters: int = 2000) -> PreparedState:
-    """Find sigma1 whose basis matches rho1 by tuning the preparation unitary.
+                           seed: int = 0) -> PreparedState:
+    """Prepare sigma1 in rho1's eigenbasis and measure how well it is aligned.
 
     The matching conditions are the overlaps Tr(rho1^k sigma1), k = 1..d-1,
     against their spectrum-derived targets; for a nondegenerate spectrum
     these are maximized exactly at alignment, so matching pins the basis.
-    In exact mode (shots None) the alignment is solved in closed form from
-    the known eigenbasis. In shot mode the tuning loop itself is idealized
-    (the knob is turned against exact readout) and the reported residual is
-    a sampled swap-test measurement of the k = 1 condition.
+    sigma1 is built in closed form from rho1's eigenbasis in both modes.
+    In exact mode (shots None) the residual is the largest mismatch of the
+    d-1 conditions; in shot mode it is a sampled swap-test measurement of
+    the k = 1 condition. A degenerate spectrum reports residual 0:
+    alignment inside a degenerate subspace is unobservable.
     """
-    d = rho1.dim
     w = rho1.eigenvalues
-    tr_sqrt = float(np.sqrt(w).sum())
-    targets = _alignment_targets(rho1)
-
+    sigma = prepare_sigma(w, rho1.eigenvectors)
     gaps = -np.diff(w)
-    if d == 1 or (gaps.size and gaps.min() < DEGENERACY_GAP):
-        # alignment inside a degenerate subspace is unobservable
-        sigma = prepare_sigma(w, rho1.eigenvectors)
+    if rho1.dim == 1 or gaps.min() < DEGENERACY_GAP:
         return PreparedState(sigma1=sigma, alignment_residual=0.0, iterations=0)
-
-    def overlaps(sigma: QuantumState) -> np.ndarray:
-        return np.array([float(np.trace(rho1.power(k) @ sigma.matrix).real)
-                         for k in range(1, d)])
-
+    # expected overlaps Tr(rho1^k sigma1) = Tr(rho1^{k+1/2}) / Tr sqrt(rho1)
+    targets = np.array([(w ** (k + 0.5)).sum() for k in range(1, rho1.dim)]) / np.sqrt(w).sum()
     if shots is None:
-        sigma = prepare_sigma(w, rho1.eigenvectors)
-        res = float(np.abs(overlaps(sigma) - targets).max())
-        return PreparedState(sigma1=sigma, alignment_residual=res, iterations=0)
-
-    basis = _hermitian_basis(d)
-
-    def sigma_of(theta: np.ndarray) -> QuantumState:
-        G = sum(t * B for t, B in zip(theta, basis))
-        return prepare_sigma(w, expm(1j * G))
-
-    def cost(theta: np.ndarray) -> float:
-        return float(np.sum((overlaps(sigma_of(theta)) - targets) ** 2))
-
-    rng = np.random.default_rng(seed)
-    best = None
-    iters = 0
-    for attempt in range(8):
-        x0 = np.zeros(d * d) if attempt == 0 else rng.normal(scale=1.0, size=d * d)
-        r = minimize(cost, x0, method="Nelder-Mead",
-                     options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-16})
-        iters += r.nit
-        if best is None or r.fun < best.fun:
-            best = r
-        if best.fun < (EXACT_RESIDUAL_TOL / 10) ** 2:
-            break
-    if best is None or not np.isfinite(best.fun) or best.fun > 1e-4:
-        raise NoConvergence(f"alignment cost stuck at {best.fun if best else np.nan:.3e}")
-    sigma = sigma_of(best.x)
-    measured = sample_swap_test(sigma, QuantumState(rho1.matrix), shots, seed)
-    res = abs(measured.value - targets[0])
-    return PreparedState(sigma1=sigma, alignment_residual=res, iterations=iters)
+        overlaps = [float(np.trace(rho1.power(k) @ sigma.matrix).real)
+                    for k in range(1, rho1.dim)]
+        res = float(np.abs(np.subtract(overlaps, targets)).max())
+    else:
+        measured = sample_swap_test(sigma, QuantumState(rho1.matrix), shots, seed)
+        res = abs(measured.value - targets[0])
+    return PreparedState(sigma1=sigma, alignment_residual=res, iterations=0)
 
 
 def estimate_fidelity_exact(rho1: QuantumState, rho2: QuantumState) -> float:
-    """Fidelity from the prepared sigma1 and rho2 (exact mode only):
-    F = Tr sqrt(sigma1^{1/2} rho2 sigma1^{1/2}) * sqrt(Tr sqrt(rho1))-rescaling."""
-    prep = basis_alignment_search(rho1)
+    """Fidelity from the prepared sigma1 = sqrt(rho1)/Tr sqrt(rho1) and rho2
+    (exact mode only): F = Tr sqrt(rho1) * Tr sqrt(sigma1 rho2 sigma1)."""
     tr_sqrt = float(np.sqrt(rho1.eigenvalues).sum())
-    s = prep.sigma1.matrix
-    # F = Tr sqrt(rho1 rho2) spectrum-wise; rho1 = (tr_sqrt * sigma1)^2
-    wv = np.linalg.eigvals(s @ s @ rho2.matrix)
-    f = float(np.sqrt(np.clip(wv.real, 0.0, None)).sum()) * tr_sqrt
+    s = prepare_sigma(rho1.eigenvalues, rho1.eigenvectors).matrix
+    # sigma1 rho2 sigma1 is Hermitian, with the spectrum of sigma1^2 rho2
+    wv = np.linalg.eigvalsh(hermitianize(s @ rho2.matrix @ s))
+    f = float(np.sqrt(np.clip(wv, 0.0, None)).sum()) * tr_sqrt
     return min(1.0, max(0.0, f))
 
 
@@ -228,7 +179,6 @@ def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,
     tr_sqrt = float(np.sqrt(eigs).sum())
     prep = basis_alignment_search(rho1, shots=shots, seed=seed)
     sigma1 = prep.sigma1
-    rho2 = evolve_unitary(rho1, H, t)
     sigma2 = QuantumState(evolve_unitary(sigma1, H, t).matrix)
     hbar = H.hbar
 

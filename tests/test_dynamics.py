@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,21 @@ def test_first_passage_basics():
     stuck = QuantumState(np.diag([0.9, 0.1]))
     with pytest.raises(NotReached):
         first_passage_time(rho, H, stuck, tol=1e-8, t_max=3.0)
+
+
+def test_first_passage_flat_curve_is_one_bracket():
+    # the distance is constant up to roundoff, so almost every scan node is
+    # a "local minimum"; they form one flat bracket, searched once
+    rho = bloch_to_state([1, 0, 0])
+    H = bloch_hamiltonian([0, 0, 1])
+    stuck = QuantumState(np.diag([0.9, 0.1]))
+    best = np.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        with pytest.raises(NotReached):
+            first_passage_time(rho, H, stuck)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.02
 
 
 def test_first_passage_lindblad_round_trip():

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qsl_lab
 from qsl_lab.bounds import tl_bound
+from qsl_lab.coherence import uhlmann_fidelity
 from qsl_lab.dynamics import evolve_unitary
 from qsl_lab.errors import BadN, DimMismatch, IllConditioned, ZeroShots
 from qsl_lab.interferometry import (
@@ -173,3 +180,91 @@ def test_protocol_shot_mode_mae_convergence():
             errs.append(abs(tl - target))
         maes.append(np.mean(errs))
     assert maes[1] < 0.8 * maes[0]
+
+
+def _cyclic_shift(dim: int, n: int) -> np.ndarray:
+    """Permutation operator sending factor i to factor i+1 (mod n) on (C^dim)^n."""
+    dn = dim**n
+    P = np.zeros((dn, dn))
+    for idx in range(dn):
+        digits = np.unravel_index(idx, (dim,) * n)
+        shifted = (digits[-1],) + digits[:-1]
+        P[np.ravel_multi_index(shifted, (dim,) * n), idx] = 1.0
+    return P
+
+
+def _haar_state(spectrum, rng) -> QuantumState:
+    """diag(spectrum) in a Haar-random basis."""
+    d = len(spectrum)
+    Q, R = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+    return QuantumState((Q * np.asarray(spectrum, dtype=float)) @ Q.conj().T)
+
+
+def test_power_sums_match_cyclic_shift_oracle():
+    # the swap network's observable: Tr(S rho^(x)n) with the dense shift S
+    for d in (1, 2, 3):
+        for rank in sorted({1, d}):
+            rho = random_state(d, rank, 10 * d + rank)
+            kron = rho.matrix
+            expected = [1.0]
+            for n in range(2, d + 1):
+                kron = np.kron(kron, rho.matrix)
+                expected.append(float(np.trace(_cyclic_shift(d, n) @ kron).real))
+            assert np.allclose(power_sums(rho, d), expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spectrum", [
+    lambda a: [a, a, 1 - 2 * a],
+    lambda a: [0.5, 0.5],
+    lambda a: [1.0, 0.0, 0.0],
+    lambda a: [1 / 3] * 3,
+    lambda a: [a / 2] * 3 + [1 - 1.5 * a],
+    lambda a: [a / 3] * 4 + [1 - 4 * a / 3],
+    lambda a: [1 / 6] * 6,
+    lambda a: [0.5, 0.25, 0.25],
+], ids=["aa", "I2", "pure3", "I3", "aaa", "a4", "I6", "half_quarter_quarter"])
+def test_eigs_from_power_sums_degenerate(spectrum):
+    # a multiple eigenvalue splits into complex pairs or a real pair around
+    # 0 at roundoff; every one of 200 Haar bases must recover the spectrum
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        w = spectrum(rng.uniform(0.2, 0.45))
+        rho = _haar_state(w, rng)
+        got = eigs_from_power_sums(power_sums(rho, rho.dim))
+        assert np.abs(got - np.sort(w)[::-1]).max() < 1e-6
+
+
+@pytest.mark.parametrize("moments", [[1.0, 0.2], [1.0, 0.2, 0.01], [1.0, 1.5]])
+def test_eigs_from_power_sums_rejects_non_psd_moments(moments):
+    with pytest.raises(IllConditioned):
+        eigs_from_power_sums(moments)
+
+
+def test_alignment_shot_mode_is_closed_form():
+    for seed in range(3):
+        rho = random_state(4, 4, seed)
+        prep = basis_alignment_search(rho, shots=100_000, seed=seed)
+        c = prep.sigma1.matrix @ rho.matrix - rho.matrix @ prep.sigma1.matrix
+        assert np.linalg.norm(c) <= 1e-12
+        assert prep.iterations == 0
+        assert 0.0 <= prep.alignment_residual < 0.02
+
+
+def test_estimate_fidelity_exact_matches_uhlmann():
+    for d in range(2, 6):
+        for rank in sorted({1, 2, d}):
+            rho1 = random_state(d, rank, 100 * d + rank)
+            rho2 = random_state(d, d, 100 * d + rank + 50)
+            # a rank-deficient rho1 keeps roundoff eigenvalues (~1e-17), and
+            # both sides take their square roots (~3e-9)
+            tol = 1e-12 if rank == d else 2e-8
+            assert abs(estimate_fidelity_exact(rho1, rho2) - uhlmann_fidelity(rho1, rho2)) < tol
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(qsl_lab.__file__).resolve().parents[1])
+    code = "import sys, qsl_lab.interferometry; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
