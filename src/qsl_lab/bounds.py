@@ -3,25 +3,24 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .coherence import (
-    affinity,
+    _bures_angle,
+    _chord_angle,
     clamp_acos_arg,
     relative_purity,
     sld_qfi,
-    uhlmann_fidelity,
     variance,
     wy_coherence,
 )
 from .dynamics import LindbladModel, LindbladPropagator, evolve_unitary
 from .errors import BadAlpha, BadGrid, DimMismatch, FrozenState
 from .operator_core import (
+    EIG_CUT,
     Observable,
     QuantumState,
     commutator,
@@ -35,24 +34,30 @@ DEFAULT_ALPHA_GRID = np.arange(0.25, 4.0 + 1e-9, 0.05)
 
 
 def bargmann_angle(rho1: QuantumState, rho2: QuantumState) -> float:
-    """Working angle acos A(rho1, rho2); the full geodesic angle is twice this."""
-    return float(np.arccos(clamp_acos_arg(affinity(rho1, rho2))))
+    """Working angle acos A(rho1, rho2); the full geodesic angle is twice this.
+
+    It is the chord angle between the unit vectors sqrt(rho1), sqrt(rho2).
+    """
+    if rho1.dim != rho2.dim:
+        raise DimMismatch(f"{rho1.dim} vs {rho2.dim}")
+    return float(_chord_angle(np.linalg.norm(rho1.sqrt() - rho2.sqrt())))
 
 
-def _quotient(angle: float, speed_sq: float, scale: float, what: str) -> float:
-    """scale * angle / sqrt(speed_sq), with the frozen-pair consistency check."""
-    if angle <= ANGLE_TOL:
-        return 0.0
-    if speed_sq <= COHERENCE_TOL:
-        raise FrozenState(f"{what} vanishes while the angle is {angle:.3e}")
-    return scale * angle / np.sqrt(speed_sq)
+def _quotient(angle, speed_sq, scale, what: str):
+    """scale * angle / sqrt(speed_sq), elementwise, with the frozen-pair
+    consistency check: 0 where the angle is 0 (<= ANGLE_TOL), FrozenState
+    where only the speed vanishes."""
+    moving = angle > ANGLE_TOL
+    frozen = moving & (speed_sq <= COHERENCE_TOL)
+    if np.any(frozen):
+        raise FrozenState(f"{what} vanishes while the angle is {np.max(angle * frozen):.3e}")
+    return np.where(moving, scale * angle / np.sqrt(np.maximum(speed_sq, COHERENCE_TOL)), 0.0)[()]
 
 
 def tl_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
-    """Coherence speed limit (hbar/sqrt(2)) acos(A) / sqrt(Q(rho1, H))."""
-    angle = bargmann_angle(rho1, rho2)
-    q = wy_coherence(rho1, H)
-    return _quotient(angle, q, H.hbar / np.sqrt(2.0), "coherence Q")
+    """Coherence speed limit (hbar/sqrt(2)) acos(A) / sqrt(Q(rho1, H)): the
+    alpha = 1 column of the spectral-power family."""
+    return float(_alpha_bounds(_alpha_terms(rho1, H, rho2, np.ones(1)), H.hbar)[0])
 
 
 def check_grid(grid) -> np.ndarray:
@@ -76,13 +81,8 @@ def tl_bound_time_avg(rho1: QuantumState, H_path, rho2: QuantumState, grid) -> f
     tau = grid[-1]
     vals = np.array([np.sqrt(wy_coherence(rho1, H_path(t))) for t in grid])
     avg = float(simpson(vals, x=grid)) / tau
-    angle = bargmann_angle(rho1, rho2)
-    hbar = H_path(grid[0]).hbar
-    if angle <= ANGLE_TOL:
-        return 0.0
-    if avg <= 1e-7:
-        raise FrozenState(f"time-averaged coherence vanishes, angle {angle:.3e}")
-    return hbar / np.sqrt(2.0) * angle / avg
+    return _quotient(bargmann_angle(rho1, rho2), avg**2, H_path(grid[0]).hbar / np.sqrt(2.0),
+                     "time-averaged coherence")
 
 
 def _alpha_grid(alpha_grid) -> np.ndarray:
@@ -91,99 +91,90 @@ def _alpha_grid(alpha_grid) -> np.ndarray:
     if alpha_grid is None:
         return DEFAULT_ALPHA_GRID
     try:
-        grid = np.asarray(alpha_grid, dtype=float)
-    except (TypeError, ValueError):
-        grid = None
-    if grid is None or grid.ndim != 1 or grid.size == 0 or not np.all(
+        grid = np.asarray(alpha_grid)
+    except ValueError:  # a ragged nesting
+        grid = np.asarray(None)
+    if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size == 0 or not np.all(
             np.isfinite(grid) & (grid > 0)):
         raise BadAlpha("alpha grid must be non-empty, 1-D, finite and positive, "
                        f"got {alpha_grid!r}")
-    return grid
+    return grid.astype(float)
 
 
 def alpha_bound(rho1: QuantumState, H: Observable, rho2: QuantumState,
                 alpha: float) -> float:
-    """Spectral-power family bound, written exactly as
+    """Spectral-power family bound
 
         hbar sqrt(Tr rho1^a) acos|Tr(rho1^{a/2} rho2^{a/2}) / Tr rho1^a|
             / sqrt(-Tr[rho1^{a/2}, H]^2).
 
     At alpha = 1 this reduces to tl_bound identically: the denominator is
     sqrt(2Q) and the prefactor contributes the matching normalization.
-    This matrix form is the reference for the grid kernel _alpha_bounds.
     """
-    if not (isinstance(alpha, Real) and math.isfinite(alpha) and alpha > 0):
-        raise BadAlpha(f"alpha must be finite and positive, got {alpha!r}")
-    half1 = rho1.power(alpha / 2.0)
-    half2 = rho2.power(alpha / 2.0)
-    tr_a = float(np.trace(half1 @ half1).real)
-    overlap = abs(np.trace(half1 @ half2)) / tr_a
-    angle = float(np.arccos(clamp_acos_arg(overlap)))
-    c = commutator(half1, H.matrix)
-    denom_sq = float(-np.trace(c @ c).real)
-    return _quotient(angle, denom_sq, H.hbar * np.sqrt(tr_a), f"alpha={alpha} coherence")
+    return float(_alpha_bounds(_alpha_terms(rho1, H, rho2, _alpha_grid([alpha])), H.hbar)[0])
 
 
-def _alpha_bounds(rho1: QuantumState, H: Observable, rho2: QuantumState,
-                  alphas: np.ndarray) -> np.ndarray:
-    """alpha_bound at every alpha of a 1-D grid, as one broadcast in the
-    eigenbasis of rho1 (eigenvalues w1, vectors v_j; rho2 has w2, u_k).
+def _alpha_terms(rho1: QuantumState, H: Observable, rho2: QuantumState,
+                 alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(angle, Tr rho1^a, -Tr[rho1^{a/2}, H]^2) at every alpha of a 1-D grid,
+    as one broadcast in the eigenbasis of rho1 (eigenvalues w1, vectors v_j;
+    rho2 has w2, u_k).
 
-    The spectra get the roundoff cut of QuantumState.power (eigenvalues
-    <= 1e-14 become 0) and are renormalised, so a pure state's spectrum is
-    exactly (1, 0, ...) and its alpha curve exactly flat. With p = w^{a/2},
-    O_jk = |<v_j|u_k>|^2 and H~ = V1† H V1:
+    The spectra carry the roundoff cut of QuantumState, so a pure state's
+    spectrum is exactly (1, 0, ...) and its alpha curve exactly flat. With
+    p = w^{a/2}, O_jk = |<v_j|u_k>|^2 and H~ = V1† H V1:
         Tr rho1^a = sum_j p1_j^2,
         ||rho1^{a/2} - rho2^{a/2}||^2 = sum_jk O_jk (p1_j - p2_k)^2,
         -Tr[rho1^{a/2}, H]^2 = sum_jk (p1_j - p1_k)^2 |H~_jk|^2.
+    The angle acos(overlap) is the chord angle of the chord
+    sqrt(2 (1 - overlap)) = sqrt((tr1 - tr2 + ||rho1^{a/2} - rho2^{a/2}||^2) / tr1).
     """
     if not rho1.dim == H.dim == rho2.dim:
         raise DimMismatch(f"{rho1.dim}, {H.dim}, {rho2.dim}")
     V1 = rho1.eigenvectors
     overlap_sq = np.abs(V1.conj().T @ rho2.eigenvectors) ** 2
     h_sq = np.abs(V1.conj().T @ H.matrix @ V1) ** 2
-    w = np.array([rho1.eigenvalues, rho2.eigenvalues])
-    w = np.where(w > 1e-14, w, 0.0)
-    w /= w.sum(axis=1, keepdims=True)
-    p1, p2 = w[:, None, :] ** (alphas[:, None] / 2.0)
+    p1, p2 = np.array([rho1.eigenvalues, rho2.eigenvalues])[:, None, :] ** (alphas[:, None] / 2.0)
     tr1, tr2 = np.sum(p1 * p1, axis=1), np.sum(p2 * p2, axis=1)
-    # 1 - overlap = (tr1 - tr2 + ||rho1^{a/2} - rho2^{a/2}||^2) / (2 tr1), and
-    # the angle is 2 asin(sqrt((1 - overlap) / 2)): unlike acos(overlap) this
-    # is exactly 0 for rho2 = rho1 and resolves angles below 1e-8.
     cross = p1[:, :, None] - p2[:, None, :]
-    gap = (tr1 - tr2 + np.einsum("ajk,ajk,jk->a", cross, cross, overlap_sq)) / (4.0 * tr1)
-    angle = 2.0 * np.arcsin(np.sqrt(np.minimum(np.maximum(gap, 0.0), 1.0)))
+    chord_sq = (tr1 - tr2 + np.einsum("ajk,ajk,jk->a", cross, cross, overlap_sq)) / tr1
     own = p1[:, :, None] - p1[:, None, :]
-    denom_sq = np.einsum("ajk,ajk,jk->a", own, own, h_sq)
-    moving = angle > ANGLE_TOL
-    frozen = moving & (denom_sq <= COHERENCE_TOL)
-    if frozen.any():
-        i = int(np.argmax(frozen))
-        raise FrozenState(f"alpha={alphas[i]} coherence vanishes while the angle "
-                          f"is {angle[i]:.3e}")
-    scale = H.hbar * np.sqrt(tr1) * angle
-    return np.divide(scale, np.sqrt(denom_sq), out=np.zeros_like(angle), where=moving)
+    return (_chord_angle(np.sqrt(np.maximum(chord_sq, 0.0))), tr1,
+            np.einsum("ajk,ajk,jk->a", own, own, h_sq))
 
 
-def _best_alpha(alphas: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """(alpha, bound) at the smallest alpha whose bound is within 1e-15 of the max."""
+def _alpha_bounds(terms: tuple, hbar: float) -> np.ndarray:
+    """alpha_bound at every alpha of _alpha_terms' grid, from its terms."""
+    angle, tr1, denom_sq = terms
+    return _quotient(angle, denom_sq, hbar * np.sqrt(tr1), "coherence of rho1^(alpha/2)")
+
+
+def _best_alpha(alphas: np.ndarray, values: np.ndarray, rho1: QuantumState,
+                rho2: QuantumState) -> tuple[float, float]:
+    """(alpha, bound) at the smallest alpha whose bound is within 1e-15 of the
+    max. When both spectra are one value on their supports (a pure state, or
+    diag(1/2, 1/2, 0) and its orbit), the curve is flat by theory and only
+    roundoff separates its values, so the smallest alpha is taken outright."""
+    support = np.concatenate([rho1.eigenvalues, rho2.eigenvalues])
     near = values >= values.max() - 1e-15
+    if np.ptp(support[support > 0]) <= EIG_CUT:
+        near[:] = True
     i = int(np.flatnonzero(near)[np.argmin(alphas[near])])
     return float(alphas[i]), float(values[i])
 
 
 def alpha_bound_max(rho1: QuantumState, H: Observable, rho2: QuantumState,
                     alpha_grid=None) -> tuple[float, float]:
-    """(argmax alpha, max bound) over the grid; ties (bounds within 1e-15 of
-    the max) go to the smallest alpha."""
+    """(argmax alpha, max bound) over the grid; ties go to the smallest alpha
+    (see _best_alpha)."""
     grid = _alpha_grid(alpha_grid)
-    return _best_alpha(grid, _alpha_bounds(rho1, H, rho2, grid))
+    return _best_alpha(grid, _alpha_bounds(_alpha_terms(rho1, H, rho2, grid), H.hbar),
+                       rho1, rho2)
 
 
 def mt_fidelity_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
     """Mandelstam-Tamm-style bound hbar acos(F) / Delta H."""
-    angle = float(np.arccos(clamp_acos_arg(uhlmann_fidelity(rho1, rho2))))
-    return _quotient(angle, variance(rho1, H), H.hbar, "variance")
+    return _quotient(_bures_angle(rho1, rho2), variance(rho1, H), H.hbar, "variance")
 
 
 def qfi_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
@@ -193,31 +184,28 @@ def qfi_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
     states, so this is never below mt_fidelity_bound and equals it on
     pure states (Taddei et al., PRL 110, 050402, 2013).
     """
-    angle = float(np.arccos(clamp_acos_arg(uhlmann_fidelity(rho1, rho2))))
-    return _quotient(angle, sld_qfi(rho1, H), 2.0 * H.hbar, "Fisher information")
+    return _quotient(_bures_angle(rho1, rho2), sld_qfi(rho1, H), 2.0 * H.hbar,
+                     "Fisher information")
+
+
+def _campo_chain(terms: tuple, bounds: np.ndarray) -> dict:
+    """campo_chain from the last alpha column, which must be alpha = 2: its
+    angle and Tr rho1^2 give N, its commutator term is D^2, and its bound is
+    hbar sqrt(N)/D."""
+    angle, purity, D_sq = (float(term[-1]) for term in terms)
+    root, N = float(bounds[-1]), angle**2 * purity
+    return {"sqrtN_over_D": root, "two_over_pi": 2.0 / np.pi * root,
+            "final": 4.0 / np.pi**2 * np.sqrt(N) * root, "N": N, "D": np.sqrt(D_sq)}
 
 
 def campo_chain(rho1: QuantumState, H: Observable, rho2: QuantumState) -> dict:
     """Relative-purity bound chain: sqrt(N)/D form, 2/pi form, final 4/pi^2 form.
 
     N = [acos(Tr(rho1 rho2)/Tr rho1^2)]^2 Tr rho1^2,
-    D = sqrt(-Tr[rho1, H]^2).
+    D = sqrt(-Tr[rho1, H]^2): both read from the alpha = 2 terms.
     """
-    p2 = rho1.purity()
-    f = float(np.trace(rho1.matrix @ rho2.matrix).real) / p2
-    theta = float(np.arccos(clamp_acos_arg(f)))
-    N = theta**2 * p2
-    c = commutator(rho1.matrix, H.matrix)
-    D_sq = float(-np.trace(c @ c).real)
-    if N <= ANGLE_TOL**2:
-        return {"sqrtN_over_D": 0.0, "two_over_pi": 0.0, "final": 0.0, "N": N,
-                "D": float(np.sqrt(max(D_sq, 0.0)))}
-    if D_sq <= COHERENCE_TOL:
-        raise FrozenState(f"commutator speed vanishes while N = {N:.3e}")
-    D = float(np.sqrt(D_sq))
-    root = H.hbar * np.sqrt(N) / D
-    return {"sqrtN_over_D": root, "two_over_pi": 2.0 / np.pi * root,
-            "final": 4.0 * H.hbar * N / (np.pi**2 * D), "N": N, "D": D}
+    terms = _alpha_terms(rho1, H, rho2, np.array([2.0]))
+    return _campo_chain(terms, _alpha_bounds(terms, H.hbar))
 
 
 def campo_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
@@ -228,9 +216,6 @@ def campo_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
 def u_quantity(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
     """U = tl_bound * sqrt(Q); algebraically (hbar/sqrt 2) acos A, but computed
     as the product so the collapse stays checkable."""
-    angle = bargmann_angle(rho1, rho2)
-    if angle <= ANGLE_TOL:
-        return 0.0
     return tl_bound(rho1, H, rho2) * np.sqrt(wy_coherence(rho1, H))
 
 
@@ -306,8 +291,7 @@ def _path_angle(roots: np.ndarray) -> float:
     Each angle acos Tr(s_k s_{k+1}) is computed as 2 asin(||s_k - s_{k+1}||_F / 2),
     which stays accurate for nearly parallel neighbours where acos does not.
     """
-    chords = np.linalg.norm(np.diff(roots, axis=0), axis=(1, 2))
-    return float(np.sum(2.0 * np.arcsin(np.minimum(chords / 2.0, 1.0))))
+    return float(np.sum(_chord_angle(np.linalg.norm(np.diff(roots, axis=0), axis=(1, 2)))))
 
 
 def markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float,
@@ -431,21 +415,24 @@ def _digest(*arrays) -> str:
 def bound_report(rho1: QuantumState, H: Observable, rho2: QuantumState,
                  actual_time: float | None = None,
                  alpha_grid=None) -> BoundReport:
-    """Evaluate every unitary-case bound on one (rho1, H, rho2) triple.
+    """Evaluate every unitary-case bound on one (rho1, H, rho2) triple, in
+    one pass over the cached spectra.
 
-    tl_alpha2 and the alpha maximum come from one grid evaluation (the
-    grid with alpha = 2 appended).
+    One alpha broadcast over the grid with alpha = 1 and 2 appended gives
+    the alpha maximum, tl (the alpha = 1 column), and tl_alpha2 and campo
+    (the alpha = 2 column); mt_fidelity and qfi share one Bures angle.
     """
-    tl = tl_bound(rho1, H, rho2)
     grid = _alpha_grid(alpha_grid)
-    alpha_vals = _alpha_bounds(rho1, H, rho2, np.append(grid, 2.0))
+    terms = _alpha_terms(rho1, H, rho2, np.append(grid, (1.0, 2.0)))
+    vals = _alpha_bounds(terms, H.hbar)
+    bures = _bures_angle(rho1, rho2)
     return BoundReport(
-        tl=tl,
-        tl_alpha2=float(alpha_vals[-1]),
-        tl_alpha_max=_best_alpha(grid, alpha_vals[:-1]),
-        mt_fidelity=mt_fidelity_bound(rho1, H, rho2),
-        qfi=qfi_bound(rho1, H, rho2),
-        campo=campo_bound(rho1, H, rho2),
+        tl=float(vals[-2]),
+        tl_alpha2=float(vals[-1]),
+        tl_alpha_max=_best_alpha(grid, vals[:-2], rho1, rho2),
+        mt_fidelity=_quotient(bures, variance(rho1, H), H.hbar, "variance"),
+        qfi=_quotient(bures, sld_qfi(rho1, H), 2.0 * H.hbar, "Fisher information"),
+        campo=_campo_chain(terms, vals)["final"],
         actual_time=actual_time,
         inputs_digest=_digest(rho1.matrix, H.matrix, rho2.matrix),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ParseError, QslError, ValidationError
+from .errors import QslError, ValidationError
 from .scenarios import bundled_scenario, emit, parse_scenario, run, run_reproduce
 
 TASKS = ("bound", "compare", "sweep", "evolve", "interfere", "reproduce")
@@ -45,9 +45,6 @@ def main(argv=None) -> int:
                 scenario.options["shots"] = args.shots
             table = run(scenario)
         emit(table, args.format, args.out)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except QslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,25 @@ def clamp_acos_arg(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
+def _chord_angle(chord):
+    """2 asin(chord / 2): the angle between two unit vectors a chord apart.
+
+    Every angle of a speed-limit bound goes through this form. Unlike acos of
+    the overlap it is exactly 0 for equal vectors and resolves angles below 1e-8.
+    """
+    return 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0))
+
+
+def _bures_angle(rho1: QuantumState, rho2: QuantumState) -> float:
+    """Bures angle acos F, as the chord angle between sqrt(rho1) and
+    sqrt(rho2) U, with U the polar unitary of sqrt(rho1) sqrt(rho2) = W S Z†:
+    U = Z W† maximises Re Tr(sqrt(rho1) sqrt(rho2) U) to F = Tr S."""
+    _check_dims(rho1, rho2)
+    s1, s2 = rho1.sqrt(), rho2.sqrt()
+    W, _, Zh = np.linalg.svd(s1 @ s2)
+    return float(_chord_angle(np.linalg.norm(s1 - s2 @ Zh.conj().T @ W.conj().T)))
+
+
 def wy_coherence(rho: QuantumState, H: Observable) -> float:
     """Wigner-Yanase coherence Q(rho, H) = -Tr([sqrt(rho), H]^2) / 2."""
     _check_dims(rho, H)
@@ -55,13 +74,8 @@ def affinity(rho1: QuantumState, rho2: QuantumState) -> float:
 
 
 def uhlmann_fidelity(rho1: QuantumState, rho2: QuantumState) -> float:
-    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))."""
-    _check_dims(rho1, rho2)
-    s = rho1.sqrt()
-    inner = s @ rho2.matrix @ s
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    f = float(np.sqrt(np.clip(w, 0.0, None)).sum())
-    return min(1.0, max(0.0, f))
+    """F = Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), as the cosine of the Bures angle."""
+    return max(float(np.cos(_bures_angle(rho1, rho2))), 0.0)
 
 
 def relative_purity(rho1: QuantumState, rho_t: QuantumState) -> float:

@@ -18,6 +18,7 @@ from .errors import (
     NotReached,
 )
 from .operator_core import (
+    EIG_CUT,
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -201,9 +202,9 @@ class LindbladPropagator:
 
 
 def _clip_spectra(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(states, square roots) from stacked Hermitian spectra: negative
-    eigenvalues become 0 and each spectrum is renormalised to trace 1."""
-    w = np.clip(w, 0.0, None)
+    """(states, square roots) from stacked Hermitian spectra: eigenvalues
+    at or below EIG_CUT become 0 and each spectrum is renormalised to trace 1."""
+    w = np.where(w > EIG_CUT, w, 0.0)
     w = w / w.sum(axis=-1, keepdims=True)
     Vd = _dagger(V)
     states, roots = (V * w[..., None, :]) @ Vd, (V * np.sqrt(w)[..., None, :]) @ Vd

@@ -155,13 +155,16 @@ def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
 
 def estimate_fidelity_exact(rho1: QuantumState, rho2: QuantumState) -> float:
     """Fidelity from the prepared sigma1 = sqrt(rho1)/Tr sqrt(rho1) and rho2
-    (exact mode only): F = Tr sqrt(rho1) * Tr sqrt(sigma1 rho2 sigma1)."""
-    tr_sqrt = float(np.sqrt(rho1.eigenvalues).sum())
+    (exact mode only): F = Tr sqrt(rho1) * Tr sqrt(sigma1 rho2 sigma1).
+
+    Tr sqrt(sigma1 rho2 sigma1) is taken as the sum of the singular values of
+    sqrt(rho2) sigma1: the eigenvalues of sigma1 rho2 sigma1 would include
+    roundoff (~1e-17) for a rank-deficient rho1, which a square root lifts
+    to ~3e-9.
+    """
     s = prepare_sigma(rho1.eigenvalues, rho1.eigenvectors).matrix
-    # sigma1 rho2 sigma1 is Hermitian, with the spectrum of sigma1^2 rho2
-    wv = np.linalg.eigvalsh(hermitianize(s @ rho2.matrix @ s))
-    f = float(np.sqrt(np.clip(wv, 0.0, None)).sum()) * tr_sqrt
-    return min(1.0, max(0.0, f))
+    f = np.sqrt(rho1.eigenvalues).sum() * np.linalg.svd(rho2.sqrt() @ s, compute_uv=False).sum()
+    return min(1.0, max(0.0, float(f)))
 
 
 def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,

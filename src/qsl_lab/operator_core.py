@@ -21,6 +21,10 @@ from .errors import (
 HERM_TOL = 1e-9
 EIG_CLIP_TOL = 1e-10
 TRACE_TOL = 1e-12
+# Eigenvalues at or below this are roundoff and are set to 0 where a spectrum
+# is formed, so a pure state's spectrum is exactly (1, 0, ...) and no power or
+# square root amplifies rank-deficiency junk (sqrt(1e-17) ~ 3e-9).
+EIG_CUT = 1e-14
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -63,7 +67,7 @@ def hermitian_eig(M, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
 class QuantumState:
     """Density matrix with a cached spectral decomposition.
 
-    Eigenvalues in [-1e-10, 0) are clipped to zero and the spectrum
+    Eigenvalues in [-1e-10, EIG_CUT] are set to zero and the spectrum
     renormalized; anything more negative is rejected.
     """
 
@@ -85,7 +89,7 @@ class QuantumState:
         w, V = np.linalg.eigh(M)
         if w.min() < -EIG_CLIP_TOL:
             raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{EIG_CLIP_TOL:.0e}")
-        w = np.clip(w, 0.0, None)
+        w = np.where(w > EIG_CUT, w, 0.0)
         w = w / w.sum()
         M = (V * w) @ V.conj().T
         object.__setattr__(self, "matrix", hermitianize(M))
@@ -98,14 +102,11 @@ class QuantumState:
 
     def sqrt(self) -> np.ndarray:
         """Unique positive square root, from the cached spectrum."""
-        w = np.sqrt(self.eigenvalues)
-        V = self.eigenvectors
-        return hermitianize((V * w) @ V.conj().T)
+        return self.power(0.5)
 
     def power(self, alpha: float) -> np.ndarray:
-        """Spectral power rho^alpha (eigenvalues at roundoff level stay zero,
-        so small fractional powers cannot amplify rank-deficiency junk)."""
-        w = np.where(self.eigenvalues > 1e-14, self.eigenvalues, 0.0) ** alpha
+        """Spectral power rho^alpha, from the cached (cut) spectrum."""
+        w = self.eigenvalues ** alpha
         V = self.eigenvectors
         return hermitianize((V * w) @ V.conj().T)
 

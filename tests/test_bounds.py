@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,7 @@ from qsl_lab.bounds import (
     tl_bound_time_avg,
     u_quantity,
 )
-from qsl_lab.coherence import wy_coherence
+from qsl_lab.coherence import affinity, sld_qfi, uhlmann_fidelity, variance, wy_coherence
 from qsl_lab.dynamics import LindbladModel, evolve_unitary, squeezed_vacuum_model
 from qsl_lab.errors import BadAlpha, BadGrid, FrozenState
 from qsl_lab.operator_core import (
@@ -438,3 +439,112 @@ def test_bound_report_fields_and_digest():
     assert d["tl"] == rep.tl and d["actual_time"] is not None
     assert rep.tl <= rep.actual_time + 1e-8
     assert rep.tl_alpha_max[1] >= rep.tl_alpha2 - 1e-12
+
+
+def test_alpha_bound_max_flat_curve_takes_smallest_alpha():
+    # a spectrum uniform on its support gives an alpha curve that is flat by
+    # theory; roundoff alone must not pick its alpha
+    rho1 = QuantumState(np.diag([0.5, 0.5, 0.0]))
+    H = random_observable(3, 5)
+    rho2 = evolve_unitary(rho1, H, 1e-3)
+    a, v = alpha_bound_max(rho1, H, rho2)
+    assert a == 0.25 and bound_report(rho1, H, rho2).tl_alpha_max == (a, v)
+    assert abs(v - _oracle_alpha(rho1, H, rho2, 1.0)) <= _oracle_tol(rho1, rho2) * v
+
+
+# Matrix forms of the unitary bounds, each built from its own matrix products
+# and an acos, as oracles for the one-pass spectral kernel. The Bures angle is
+# acos of the nuclear norm ||sqrt(rho1) sqrt(rho2)||_1: the eigenvalues of
+# sqrt(rho1) rho2 sqrt(rho1) would add square-rooted roundoff.
+
+def _acos(x):
+    return float(np.arccos(np.clip(x, -1.0, 1.0)))
+
+
+def _oracle_quotient(angle, speed_sq, scale):
+    return 0.0 if angle <= 1e-12 else scale * angle / np.sqrt(speed_sq)
+
+
+def _oracle_alpha(rho1, H, rho2, alpha):
+    half1, half2 = rho1.power(alpha / 2.0), rho2.power(alpha / 2.0)
+    tr_a = np.trace(half1 @ half1).real
+    c = half1 @ H.matrix - H.matrix @ half1
+    return _oracle_quotient(_acos(abs(np.trace(half1 @ half2)) / tr_a),
+                            -np.trace(c @ c).real, H.hbar * np.sqrt(tr_a))
+
+
+def _oracle_tl(rho1, H, rho2):
+    return _oracle_quotient(_acos(affinity(rho1, rho2)), wy_coherence(rho1, H),
+                            H.hbar / np.sqrt(2.0))
+
+
+def _oracle_bures(rho1, rho2):
+    return _acos(np.linalg.svd(rho1.sqrt() @ rho2.sqrt(), compute_uv=False).sum())
+
+
+def _oracle_campo(rho1, H, rho2):
+    p2 = rho1.purity()
+    N = _acos(np.trace(rho1.matrix @ rho2.matrix).real / p2) ** 2 * p2
+    c = rho1.matrix @ H.matrix - H.matrix @ rho1.matrix
+    return 0.0 if N <= 1e-24 else 4.0 * H.hbar * N / (np.pi**2 * np.sqrt(-np.trace(c @ c).real))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_unitary_bounds_match_matrix_oracles(dim):
+    for rank in sorted({1, (dim + 1) // 2, dim}):
+        for seed in range(3):
+            rho1 = random_state(dim, rank, 5000 * dim + 10 * rank + seed)
+            H = random_observable(dim, 6000 * dim + 10 * rank + seed)
+            for t in (1e-3, 0.4, 2.1):
+                rho2 = evolve_unitary(rho1, H, t)
+                bures = _oracle_bures(rho1, rho2)
+                want = {
+                    "tl": _oracle_tl(rho1, H, rho2),
+                    "mt_fidelity": _oracle_quotient(bures, variance(rho1, H), H.hbar),
+                    "qfi": _oracle_quotient(bures, sld_qfi(rho1, H), 2.0 * H.hbar),
+                    "campo": _oracle_campo(rho1, H, rho2),
+                    "tl_alpha2": _oracle_alpha(rho1, H, rho2, 2.0),
+                    "tl_alpha_max": max(_oracle_alpha(rho1, H, rho2, float(a))
+                                        for a in DEFAULT_ALPHA_GRID),
+                }
+                got = bound_report(rho1, H, rho2).as_dict()
+                single = {"tl": tl_bound(rho1, H, rho2),
+                          "mt_fidelity": mt_fidelity_bound(rho1, H, rho2),
+                          "qfi": qfi_bound(rho1, H, rho2),
+                          "campo": campo_bound(rho1, H, rho2),
+                          "tl_alpha2": alpha_bound(rho1, H, rho2, 2.0),
+                          "tl_alpha_max": alpha_bound_max(rho1, H, rho2)[1]}
+                tol = _oracle_tol(rho1, rho2)
+                for key, w in want.items():
+                    assert abs(got[key] - w) <= tol * w, (key, got[key], w)
+                    assert abs(single[key] - w) <= tol * w, (key, single[key], w)
+                for a in (0.5, 3.5):
+                    w = _oracle_alpha(rho1, H, rho2, a)
+                    assert abs(alpha_bound(rho1, H, rho2, a) - w) <= tol * w
+
+
+def _mp_pure_angles(rho1, H, t):
+    """(acos|<psi|phi>|, acos|<psi|phi>|^2) at 40 digits, for rho1 = |psi><psi|
+    and phi = exp(iHt) psi: the Bures and the Bargmann angle of the pair."""
+    with mpmath.workdps(40):
+        psi = mpmath.matrix(rho1.eigenvectors[:, 0].tolist())
+        psi /= mpmath.norm(psi)
+        U = mpmath.expm(1j * t / H.hbar * mpmath.matrix(H.matrix.tolist()))
+        ov = abs((psi.H * U * psi)[0])
+        return mpmath.acos(ov), mpmath.acos(ov**2)
+
+
+def test_small_angles_match_mpmath_oracle():
+    # rank-1 pairs down to angles ~1e-3, where acos of a fidelity or an
+    # affinity near 1 loses digits
+    rng = np.random.default_rng(17)
+    for dim in (2, 3, 4, 5, 6):
+        for seed in range(8):
+            rho1 = random_state(dim, 1, 9000 * dim + seed)
+            H = random_observable(dim, 9100 * dim + seed)
+            t = float(10.0 ** rng.uniform(-3.0, 0.0))
+            rho2 = evolve_unitary(rho1, H, t)
+            bures, bargmann = _mp_pure_angles(rho1, H, t)
+            got_bures = np.arccos(uhlmann_fidelity(rho1, rho2))
+            assert abs(got_bures - bures) <= 1e-9 * bures
+            assert abs(bargmann_angle(rho1, rho2) - bargmann) <= 1e-9 * bargmann

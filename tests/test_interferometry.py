@@ -268,3 +268,15 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_estimate_fidelity_exact_pure_rho1():
+    # for rho1 = |psi><psi| the fidelity is sqrt(<psi|rho2|psi>); the
+    # singular values of sqrt(rho2) sigma1 carry no square-rooted roundoff
+    for d in range(2, 6):
+        for seed in range(5):
+            rho1 = random_state(d, 1, 700 * d + seed)
+            rho2 = random_state(d, d, 800 * d + seed)
+            psi = rho1.eigenvectors[:, 0]
+            want = np.sqrt((psi.conj() @ rho2.matrix @ psi).real)
+            assert abs(estimate_fidelity_exact(rho1, rho2) - want) < 1e-12

@@ -172,3 +172,13 @@ def test_sqrt_square_and_covariance(seed, dim):
     U = unitary_of(Observable(random_state(dim, dim, seed + 1).matrix), 0.7)
     rotated = QuantumState(U @ rho.matrix @ U.conj().T)
     assert np.linalg.norm(rotated.sqrt() - U @ s @ U.conj().T) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_rank_one_state_spectrum_is_exact(dim):
+    # eigenvalues at roundoff level are cut to 0 before renormalising, so a
+    # pure state's spectrum is exactly (1, 0, ...) and sqrt(rho) is rho
+    for seed in range(10):
+        rho = random_state(dim, 1, 500 * dim + seed)
+        assert rho.eigenvalues.tolist() == [1.0] + [0.0] * (dim - 1)
+        assert np.array_equal(rho.sqrt(), rho.matrix)
