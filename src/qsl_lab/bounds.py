@@ -17,7 +17,7 @@ from .coherence import (
     variance,
     wy_coherence,
 )
-from .dynamics import LindbladModel, LindbladPropagator, evolve_unitary
+from .dynamics import LindbladModel, evolve_unitary
 from .errors import BadAlpha, BadGrid, DimMismatch, FrozenState
 from .operator_core import (
     EIG_CUT,
@@ -313,7 +313,7 @@ def markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float,
     if n_nodes < 5 or n_nodes % 2 == 0:
         raise BadGrid("n_nodes must be an odd integer >= 5")
     ts = tau * np.linspace(0.0, 1.0, 2 * n_nodes - 1) ** 2
-    roots = LindbladPropagator(L).trajectory(rho0, ts).roots
+    roots = L._propagator.trajectory(rho0, ts).roots
     angle = _path_angle(roots[[0, -1]])
     if angle <= ANGLE_TOL:
         return 0.0
@@ -327,11 +327,10 @@ def campo_markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float,
     tau >= |1 - f(tau)| sqrt(Tr rho0^2) / avg ||L rho_t||_HS."""
     if tau <= 0:
         raise BadGrid(f"tau must be positive, got {tau}")
-    prop = LindbladPropagator(L)
     ts = np.linspace(0.0, tau, n_nodes)
-    states = prop.trajectory(rho0, ts).states
-    f = relative_purity(rho0, QuantumState(states[-1]))
-    vals = np.linalg.norm(states.reshape(n_nodes, -1) @ prop.S.T, axis=1)
+    traj = L._propagator.trajectory(rho0, ts)
+    f = relative_purity(rho0, traj._state(-1))
+    vals = np.linalg.norm(traj.states.reshape(n_nodes, -1) @ L.S.T, axis=1)
     avg = float(simpson(vals, x=ts)) / tau
     if avg <= 1e-14:
         return 0.0

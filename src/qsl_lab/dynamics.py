@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -24,8 +25,9 @@ from .operator_core import (
     SIGMA_PLUS,
     Observable,
     QuantumState,
+    _dagger,
+    _spectral_power,
     herm_deviation,
-    hermitian_eig,
     hermitianize,
     unitary_of,
     validate_bloch,
@@ -36,6 +38,9 @@ STATE_EIG_TOL = 1e-8
 SCAN_NODES_PER_PERIOD = 8
 MAX_SCAN_NODES = 2**17
 FLAT_SCAN_TOL = 1e-14  # adjacent scan distances closer than this agree to roundoff
+# The eigen-expansion V e^{wt} V^-1 errs by ~eps cond(V); above this cond,
+# where that could exceed 1e-12, propagation takes expm instead.
+EIGEN_COND_MAX = 1e-12 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -45,13 +50,16 @@ class LindbladModel:
     H may be None for a purely dissipative generator, and jump_ops may be
     empty (with a (0, 0) coeffs) for a purely Hamiltonian one, but not
     both. coeffs must be Hermitian; a non-PSD coeff matrix only triggers a
-    warning (the map is then not guaranteed completely positive).
+    warning (the map is then not guaranteed completely positive). S, the
+    superoperator of build_superoperator, is assembled once here and is the
+    generator's one representation.
     """
 
     H: Observable | None
     jump_ops: tuple
     coeffs: np.ndarray
     hbar: float = 1.0
+    S: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, H, jump_ops, coeffs, hbar: float = 1.0) -> None:
         ops = tuple(np.asarray(A, dtype=complex) for A in jump_ops)
@@ -73,32 +81,23 @@ class LindbladModel:
         object.__setattr__(self, "jump_ops", ops)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "hbar", float(hbar))
+        object.__setattr__(self, "S", build_superoperator(self))
 
     @property
     def dim(self) -> int:
         return self.H.dim if self.H is not None else self.jump_ops[0].shape[0]
 
+    @cached_property
+    def _propagator(self) -> LindbladPropagator:
+        """The one LindbladPropagator of this model, built on first use."""
+        return LindbladPropagator(self)
+
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Action of the generator on an operator."""
+        """Action of the generator on an operator: S vec X, reshaped."""
         X = np.asarray(X, dtype=complex)
         if X.shape != (self.dim, self.dim):
             raise DimMismatch(f"{X.shape} vs dim {self.dim}")
-        out = np.zeros_like(X)
-        if self.H is not None:
-            # (i/hbar)[H, X]: the sign partnering U = exp(+iHt/hbar), so the
-            # c = 0 semigroup coincides with unitary conjugation
-            Hm = self.H.matrix
-            out = out + 1j / self.hbar * (Hm @ X - X @ Hm)
-        c = self.coeffs
-        for i, Ai in enumerate(self.jump_ops):
-            for j, Aj in enumerate(self.jump_ops):
-                if c[i, j] == 0:
-                    continue
-                Ajd = Aj.conj().T
-                XAjd = X @ Ajd
-                AiX = Ai @ X
-                out = out + 0.5 * c[i, j] * (Ai @ XAjd - XAjd @ Ai + AiX @ Ajd - Ajd @ AiX)
-        return out
+        return (self.S @ X.reshape(-1)).reshape(X.shape)
 
 
 def build_superoperator(L: LindbladModel) -> np.ndarray:
@@ -107,7 +106,8 @@ def build_superoperator(L: LindbladModel) -> np.ndarray:
     Assembled from vec(A X B) = (A kron B^T) vec X:
         S = (i/hbar)(H kron I - I kron H^T)
             + sum_ij c_ij [A_i kron conj(A_j) - (K kron I + I kron K^T) / 2],
-    with K = sum_ij c_ij A_j† A_i.
+    with K = sum_ij c_ij A_j† A_i. The (i/hbar)[H, X] sign partners
+    U = exp(+iHt/hbar), so the c = 0 semigroup is unitary conjugation.
     """
     d = L.dim
     eye = np.eye(d)
@@ -123,38 +123,47 @@ def build_superoperator(L: LindbladModel) -> np.ndarray:
     return S
 
 
-def _dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().swapaxes(-1, -2)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One propagation evaluated at every node of a time grid.
 
-    states and roots are (n, d, d) stacks: the clipped, renormalised
-    density matrices and their positive square roots, both built from one
-    eigendecomposition per node. clipped_mass is the total weight of the
-    negative eigenvalues set to zero, max_herm_repair the largest
-    Hermiticity deviation removed, both over all nodes.
+    eigenvalues (n, d, descending) and eigenvectors (n, d, d) are the
+    clipped, renormalised spectra, one eigendecomposition per node; states
+    and roots, the (n, d, d) stacks of the density matrices and of their
+    positive square roots, are built from them on first use. clipped_mass
+    is the total weight of the negative eigenvalues set to zero,
+    max_herm_repair the largest Hermiticity deviation removed, both over
+    all nodes.
     """
 
-    states: np.ndarray
-    roots: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     clipped_mass: float
     max_herm_repair: float
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        return _spectral_power(self.eigenvalues, self.eigenvectors, 1.0)
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        return _spectral_power(self.eigenvalues, self.eigenvectors, 0.5)
+
+    def _state(self, k: int) -> QuantumState:
+        """Node k as a QuantumState, from its spectrum."""
+        return QuantumState._from_spectrum(self.eigenvalues[k], self.eigenvectors[k])
+
 
 class LindbladPropagator:
-    """Caches the eigendecomposition of S for repeated propagation of one model."""
+    """Caches the eigendecomposition of the model's S for repeated propagation."""
 
     def __init__(self, L: LindbladModel) -> None:
-        self.model = L
-        self.S = build_superoperator(L)
+        self.S = L.S
         w, V = np.linalg.eig(self.S)
         # fastest angular frequency of the semigroup, for time-grid steps
         self.max_frequency = float(np.abs(w.imag).max())
         cond = np.linalg.cond(V)
-        if np.isfinite(cond) and cond < 1e8:
+        if np.isfinite(cond) and cond < EIGEN_COND_MAX:
             self._eig = (w, V, np.linalg.inv(V))
         else:
             self._eig = None  # defective generator, fall back to expm
@@ -192,34 +201,31 @@ class LindbladPropagator:
         w, V = np.linalg.eigh((M + _dagger(M)) / 2)
         if w.min() < -STATE_EIG_TOL:
             raise InvalidStateProduced("negative eigenvalue beyond tolerance (non-CP model?)")
-        states, roots = _clip_spectra(w, V)
-        return Trajectory(states=states, roots=roots,
+        return Trajectory(*_clip_spectra(w, V),
                           clipped_mass=float(np.clip(-w, 0.0, None).sum()),
                           max_herm_repair=herm_dev)
 
     def __call__(self, rho0: QuantumState, t: float) -> QuantumState:
-        return QuantumState(self.trajectory(rho0, [t]).states[0])
+        return self.trajectory(rho0, [t])._state(0)
 
 
 def _clip_spectra(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(states, square roots) from stacked Hermitian spectra: eigenvalues
-    at or below EIG_CUT become 0 and each spectrum is renormalised to trace 1."""
+    """Stacked ascending Hermitian spectra (from eigh) as descending cut
+    spectra: eigenvalues at or below EIG_CUT become 0 and each spectrum is
+    renormalised to trace 1."""
     w = np.where(w > EIG_CUT, w, 0.0)
-    w = w / w.sum(axis=-1, keepdims=True)
-    Vd = _dagger(V)
-    states, roots = (V * w[..., None, :]) @ Vd, (V * np.sqrt(w)[..., None, :]) @ Vd
-    return (states + _dagger(states)) / 2, (roots + _dagger(roots)) / 2
+    return (w / w.sum(axis=-1, keepdims=True))[..., ::-1], V[..., ::-1]
 
 
 def evolve_unitary(rho0: QuantumState, H: Observable, t: float) -> QuantumState:
-    """U(t) rho0 U(t)† with U = exp(+iHt/hbar)."""
-    U = unitary_of(H, t)
-    return QuantumState(hermitianize(U @ rho0.matrix @ U.conj().T))
+    """U(t) rho0 U(t)† with U = exp(+iHt/hbar): the state (w0, U V0), whose
+    spectrum is rho0's, unchanged."""
+    return QuantumState._from_spectrum(rho0.eigenvalues, unitary_of(H, t) @ rho0.eigenvectors)
 
 
 def evolve_lindblad(rho0: QuantumState, L: LindbladModel, t: float) -> QuantumState:
     """exp(t L) rho0 via the vectorized superoperator."""
-    return LindbladPropagator(L)(rho0, t)
+    return L._propagator(rho0, t)
 
 
 def qubit_evolution_closed_form(r, n_hat, a: float, hbar: float = 1.0) -> np.ndarray:
@@ -314,8 +320,7 @@ def damping_basis_evolution(rho0: QuantumState, basis: DampingBasis, t: float) -
         M = M + np.trace(Li @ rho0.matrix) * np.exp(lam * t) * Ri
     if herm_deviation(M) > REHERM_TOL:
         raise InvalidStateProduced("damping-basis propagation lost Hermiticity")
-    w, V = np.linalg.eigh(hermitianize(M))
-    return QuantumState(_clip_spectra(w, V)[0])
+    return QuantumState._from_spectrum(*_clip_spectra(*np.linalg.eigh(hermitianize(M))))
 
 
 def affinity_closed_form_markovian(r, eigenvalues, w_eq: float, t: float) -> float:
@@ -348,7 +353,6 @@ def affinity_closed_form_markovian(r, eigenvalues, w_eq: float, t: float) -> flo
 class EvolutionPath:
     times: np.ndarray
     states: tuple
-    generator_tag: str = field(default="unitary")
 
 
 def evolve_path(rho0: QuantumState, generator, times) -> EvolutionPath:
@@ -356,12 +360,10 @@ def evolve_path(rho0: QuantumState, generator, times) -> EvolutionPath:
     times = np.asarray(times, dtype=float)
     if isinstance(generator, Observable):
         states = tuple(evolve_unitary(rho0, generator, t) for t in times)
-        tag = "unitary"
     else:
-        traj = LindbladPropagator(generator).trajectory(rho0, times)
-        states = tuple(QuantumState(M) for M in traj.states)
-        tag = "lindblad"
-    return EvolutionPath(times=times, states=states, generator_tag=tag)
+        traj = generator._propagator.trajectory(rho0, times)
+        states = tuple(traj._state(k) for k in range(times.size))
+    return EvolutionPath(times=times, states=states)
 
 
 def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
@@ -371,7 +373,7 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
     largest |Im lambda| of S for a Lindblad generator."""
     target = rho_target.matrix
     if isinstance(generator, Observable):
-        w, V = hermitian_eig(generator)
+        w, V = generator._spectrum
         rho_eig = (V.conj().T @ rho0.matrix @ V).ravel()
         tgt_eig = (V.conj().T @ target @ V).ravel()
         gaps = np.subtract.outer(w, w).ravel() / generator.hbar
@@ -386,7 +388,7 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
             return _row_norms(diff)
 
         return dist, (w[0] - w[-1]) / generator.hbar
-    prop = LindbladPropagator(generator)
+    prop = generator._propagator
     v0, v_target = rho0.matrix.reshape(-1), target.reshape(-1)
 
     def dist(ts: np.ndarray) -> np.ndarray:
@@ -498,12 +500,11 @@ def sqrt_evolution_diagnostic(rho0: QuantumState, L: LindbladModel, t_grid,
     reports the deviation, it takes no position. All three nodes of every
     difference come from one propagation.
     """
-    prop = LindbladPropagator(L)
     ts = np.asarray(t_grid, dtype=float)
     lo = np.maximum(ts - fd_step, 0.0)
-    roots = prop.trajectory(rho0, np.concatenate([ts + fd_step, lo, ts])).roots
+    roots = L._propagator.trajectory(rho0, np.concatenate([ts + fd_step, lo, ts])).roots
     sp, sm, s = roots.reshape(3, ts.size, rho0.dim, rho0.dim)
     lhs = (sp - sm) / (ts + fd_step - lo)[:, None, None]
-    rhs = (s.reshape(ts.size, -1) @ prop.S.T).reshape(s.shape)
+    rhs = (s.reshape(ts.size, -1) @ L.S.T).reshape(s.shape)
     devs = np.linalg.norm(lhs - rhs, axis=(1, 2))
     return {"times": ts, "deviations": devs, "max_deviation": float(devs.max())}

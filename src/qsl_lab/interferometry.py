@@ -182,7 +182,7 @@ def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,
     tr_sqrt = float(np.sqrt(eigs).sum())
     prep = basis_alignment_search(rho1, shots=shots, seed=seed)
     sigma1 = prep.sigma1
-    sigma2 = QuantumState(evolve_unitary(sigma1, H, t).matrix)
+    sigma2 = evolve_unitary(sigma1, H, t)
     hbar = H.hbar
 
     if shots is None:

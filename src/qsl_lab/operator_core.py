@@ -7,6 +7,7 @@ decompositions are used throughout instead of iterative methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,17 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T
 def hermitianize(M: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (M + M†)/2."""
     return (M + M.conj().T) / 2
+
+
+def _dagger(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def _spectral_power(w: np.ndarray, V: np.ndarray, p: float) -> np.ndarray:
+    """Hermitian V w^p V† from a spectrum (eigenvectors as columns), or from
+    a stack of them."""
+    M = (V * (w ** p)[..., None, :]) @ _dagger(V)
+    return (M + _dagger(M)) / 2
 
 
 def herm_deviation(M: np.ndarray) -> float:
@@ -91,10 +103,21 @@ class QuantumState:
             raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{EIG_CLIP_TOL:.0e}")
         w = np.where(w > EIG_CUT, w, 0.0)
         w = w / w.sum()
-        M = (V * w) @ V.conj().T
-        object.__setattr__(self, "matrix", hermitianize(M))
-        object.__setattr__(self, "eigenvalues", w[::-1].copy())
-        object.__setattr__(self, "eigenvectors", V[:, ::-1].copy())
+        self._set(w[::-1].copy(), V[:, ::-1].copy(), _spectral_power(w, V, 1.0))
+
+    @classmethod
+    def _from_spectrum(cls, w: np.ndarray, V: np.ndarray) -> QuantumState:
+        """State of a spectrum that is already cut and renormalised (w
+        descending, eigenvectors V as columns), with no eigh; for the
+        library's own evolutions, which carry the spectrum through."""
+        state = object.__new__(cls)
+        state._set(w, V, _spectral_power(w, V, 1.0))
+        return state
+
+    def _set(self, w: np.ndarray, V: np.ndarray, M: np.ndarray) -> None:
+        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "eigenvalues", w)
+        object.__setattr__(self, "eigenvectors", V)
 
     @property
     def dim(self) -> int:
@@ -106,9 +129,7 @@ class QuantumState:
 
     def power(self, alpha: float) -> np.ndarray:
         """Spectral power rho^alpha, from the cached (cut) spectrum."""
-        w = self.eigenvalues ** alpha
-        V = self.eigenvectors
-        return hermitianize((V * w) @ V.conj().T)
+        return _spectral_power(self.eigenvalues, self.eigenvectors, alpha)
 
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues**2))
@@ -138,22 +159,15 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-
-def psd_sqrt(rho) -> np.ndarray:
-    """Unique positive square root of a PSD matrix."""
-    if isinstance(rho, QuantumState):
-        return rho.sqrt()
-    A = _as_matrix(rho)
-    w, V = np.linalg.eigh(hermitianize(A))
-    if w.min() < -EIG_CLIP_TOL:
-        raise NegativeEigenvalue(f"eigenvalue {w.min():.3e} below -{EIG_CLIP_TOL:.0e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return hermitianize((V * w) @ V.conj().T)
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues descending, eigenvectors), computed on first use."""
+        return hermitian_eig(self.matrix)
 
 
 def unitary_of(H: Observable, t: float) -> np.ndarray:
     """exp(+i H t / hbar); this sign convention is used package-wide."""
-    w, V = hermitian_eig(H)
+    w, V = H._spectrum
     phase = np.exp(1j * w * t / H.hbar)
     return (V * phase) @ V.conj().T
 

@@ -36,7 +36,6 @@ from qsl_lab.operator_core import (
     bloch_hamiltonian,
     bloch_to_state,
     random_observable,
-    psd_sqrt,
     random_state,
     state_to_bloch,
 )
@@ -48,6 +47,26 @@ def _random_model(d: int, seed: int, n_jumps: int = 2) -> LindbladModel:
     jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n_jumps)]
     G = rng.normal(size=(n_jumps, n_jumps)) + 1j * rng.normal(size=(n_jumps, n_jumps))
     return LindbladModel(random_observable(d, seed + 1), jumps, 0.2 * G @ G.conj().T)
+
+
+def _apply_oracle(L: LindbladModel, X: np.ndarray) -> np.ndarray:
+    """The generator's action written out term by term, the reference that
+    S, and so L.apply, is checked against."""
+    X = np.asarray(X, dtype=complex)
+    out = np.zeros_like(X)
+    if L.H is not None:
+        Hm = L.H.matrix
+        out = out + 1j / L.hbar * (Hm @ X - X @ Hm)
+    c = L.coeffs
+    for i, Ai in enumerate(L.jump_ops):
+        for j, Aj in enumerate(L.jump_ops):
+            if c[i, j] == 0:
+                continue
+            Ajd = Aj.conj().T
+            XAjd = X @ Ajd
+            AiX = Ai @ X
+            out = out + 0.5 * c[i, j] * (Ai @ XAjd - XAjd @ Ai + AiX @ Ajd - Ajd @ AiX)
+    return out
 
 
 def _cascade(rate: float) -> LindbladModel:
@@ -115,7 +134,8 @@ def test_superoperator_matches_direct_action():
     rng = np.random.default_rng(5)
     for _ in range(20):
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.abs((S @ X.reshape(-1)).reshape(2, 2) - L.apply(X)).max() < 1e-12
+        assert np.abs((S @ X.reshape(-1)).reshape(2, 2) - _apply_oracle(L, X)).max() < 1e-12
+        assert np.abs(L.apply(X) - _apply_oracle(L, X)).max() < 1e-12
     # Tr is a left null vector: column sums over diagonal entries vanish
     tr_row = np.eye(2).reshape(-1)
     assert np.abs(tr_row @ S).max() < 1e-10
@@ -123,14 +143,14 @@ def test_superoperator_matches_direct_action():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_superoperator_matches_apply_columns(d):
-    # the Kronecker assembly against S built column by column from apply
+    # the Kronecker assembly against S built column by column from the oracle
     L = _random_model(d, 40 + d)
     S = build_superoperator(L)
     cols = np.zeros((d * d, d * d), dtype=complex)
     for k in range(d * d):
         E = np.zeros(d * d, dtype=complex)
         E[k] = 1.0
-        cols[:, k] = L.apply(E.reshape(d, d)).reshape(-1)
+        cols[:, k] = _apply_oracle(L, E.reshape(d, d)).reshape(-1)
     assert np.abs(S - cols).max() < 1e-12
 
 
@@ -173,9 +193,58 @@ def test_trajectory_matches_single_propagation(model):
     for t, M, R in zip(ts, traj.states, traj.roots):
         single = prop(rho0, t)
         assert np.abs(M - single.matrix).max() < 1e-14
-        assert np.abs(R - psd_sqrt(single.matrix)).max() < 1e-7  # sqrt of roundoff eigenvalues
+        assert np.abs(R - single.sqrt()).max() < 1e-14
         assert np.abs(R @ R - M).max() < 1e-14
         assert np.abs(M - _reference_state(L, rho0, t).matrix).max() < 1e-12
+
+
+def test_exceptional_point_trajectory_matches_expm():
+    # at rabi = 0.25 the driven model sits at an exceptional point, cond(V) ~ 7e7,
+    # where the eigen-expansion would be off expm by ~eps cond(V) ~ 2e-9
+    L, _ = squeezed_vacuum_model(1.0, 0.5, 0.0, rabi=0.25)
+    rho0 = bloch_to_state([0.3, 0.2, 0.5])
+    ts = np.array([0.5, 2.0, 8.0])
+    traj = LindbladPropagator(L).trajectory(rho0, ts)
+    for t, M in zip(ts, traj.states):
+        assert np.abs(M - _reference_state(L, rho0, t).matrix).max() < 1e-12
+
+
+def test_each_generator_is_decomposed_once(monkeypatch):
+    import qsl_lab.dynamics
+    from qsl_lab.bounds import campo_markovian_bound, markovian_bound
+    calls = dict.fromkeys(("build", "eig", "eigh"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qsl_lab.dynamics, "build_superoperator",
+                        counted("build", build_superoperator))
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+    L, rho0 = _random_model(3, 30), random_state(3, 3, 31)
+    target = evolve_lindblad(rho0, L, 0.7)
+    markovian_bound(rho0, L, 0.7)
+    campo_markovian_bound(rho0, L, 0.7)
+    first_passage_time(rho0, L, target)
+    sqrt_evolution_diagnostic(rho0, L, [0.2, 0.5])
+    assert calls["build"] == calls["eig"] == 1
+    # a Hamiltonian is diagonalised once, and an evolved state keeps its spectrum
+    H, rho = random_observable(3, 7), random_state(3, 2, 8)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for t in (0.1, 0.5, 2.0):
+        evolve_unitary(rho, H, t)
+    assert calls["eigh"] == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_evolve_unitary_keeps_spectrum_exactly(d):
+    H = random_observable(d, 60 + d)
+    for rank in sorted({1, (d + 1) // 2, d}):
+        rho = random_state(d, rank, 70 + 10 * d + rank)
+        for t in (1e-3, 0.4, 2.1):
+            assert np.array_equal(evolve_unitary(rho, H, t).eigenvalues, rho.eigenvalues)
 
 
 @pytest.mark.parametrize("model", ["eigen_path", "expm_path"])
@@ -393,7 +462,6 @@ def test_evolution_path_trace_and_tags():
     rho = random_state(2, 2, 12)
     H = random_observable(2, 13)
     path = evolve_path(rho, H, np.linspace(0, 2, 9))
-    assert path.generator_tag == "unitary"
     for s in path.states:
         assert abs(np.trace(s.matrix).real - 1.0) < 1e-10
 

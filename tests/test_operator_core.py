@@ -21,7 +21,6 @@ from qsl_lab.operator_core import (
     commutator,
     hermitian_eig,
     partial_trace,
-    psd_sqrt,
     random_state,
     state_to_bloch,
     tensor,
@@ -60,18 +59,13 @@ def test_hermitian_eig_rejects_nonhermitian():
 def test_psd_sqrt_projector_and_maximally_mixed():
     psi = np.array([1.0, 1j]) / np.sqrt(2)
     proj = np.outer(psi, psi.conj())
-    assert np.allclose(psd_sqrt(proj), proj, atol=1e-10)
-    assert np.allclose(psd_sqrt(np.eye(2) / 2), np.eye(2) / np.sqrt(2), atol=1e-12)
+    assert np.allclose(QuantumState(proj).sqrt(), proj, atol=1e-10)
+    assert np.allclose(QuantumState(np.eye(2) / 2).sqrt(), np.eye(2) / np.sqrt(2), atol=1e-12)
 
 
 def test_psd_sqrt_diagonal():
-    s = psd_sqrt(np.diag([0.9, 0.1]))
+    s = QuantumState(np.diag([0.9, 0.1])).sqrt()
     assert np.allclose(np.diag(s), [np.sqrt(0.9), np.sqrt(0.1)], atol=1e-12)
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NegativeEigenvalue):
-        psd_sqrt(np.diag([1.1, -0.1]))
 
 
 def test_unitary_of_conventions():
