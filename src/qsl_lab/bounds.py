@@ -419,18 +419,21 @@ def bound_report(rho1: QuantumState, H: Observable, rho2: QuantumState,
 
     One alpha broadcast over the grid with alpha = 1 and 2 appended gives
     the alpha maximum, tl (the alpha = 1 column), and tl_alpha2 and campo
-    (the alpha = 2 column); mt_fidelity and qfi share one Bures angle.
+    (the alpha = 2 column); mt_fidelity and qfi share one Bures angle and
+    one _quotient call.
     """
     grid = _alpha_grid(alpha_grid)
     terms = _alpha_terms(rho1, H, rho2, np.append(grid, (1.0, 2.0)))
     vals = _alpha_bounds(terms, H.hbar)
-    bures = _bures_angle(rho1, rho2)
+    mt, qfi = _quotient(_bures_angle(rho1, rho2),
+                        np.array([variance(rho1, H), sld_qfi(rho1, H)]),
+                        np.array([H.hbar, 2.0 * H.hbar]), "variance or Fisher information")
     return BoundReport(
         tl=float(vals[-2]),
         tl_alpha2=float(vals[-1]),
         tl_alpha_max=_best_alpha(grid, vals[:-2], rho1, rho2),
-        mt_fidelity=_quotient(bures, variance(rho1, H), H.hbar, "variance"),
-        qfi=_quotient(bures, sld_qfi(rho1, H), 2.0 * H.hbar, "Fisher information"),
+        mt_fidelity=mt,
+        qfi=qfi,
         campo=_campo_chain(terms, vals)["final"],
         actual_time=actual_time,
         inputs_digest=_digest(rho1.matrix, H.matrix, rho2.matrix),

@@ -38,6 +38,8 @@ STATE_EIG_TOL = 1e-8
 SCAN_NODES_PER_PERIOD = 8
 MAX_SCAN_NODES = 2**17
 FLAT_SCAN_TOL = 1e-14  # adjacent scan distances closer than this agree to roundoff
+ZOOM_NODES = 33  # nodes per broadcast of the first-passage refinement
+_ZOOM_UNIT = np.linspace(0.0, 1.0, ZOOM_NODES)
 # The eigen-expansion V e^{wt} V^-1 errs by ~eps cond(V); above this cond,
 # where that could exceed 1e-12, propagation takes expm instead.
 EIGEN_COND_MAX = 1e-12 / np.finfo(float).eps
@@ -422,6 +424,29 @@ def _flat_runs(ds: np.ndarray, candidates):
         yield run
 
 
+def _zoom(dists, a: float, b: float, tol: float, crossing: bool = False):
+    """Refine [a, b], dists(a) > tol, by ZOOM_NODES-node broadcasts: to the
+    argmin's neighbours while no node is at or below tol, until 1e-12 wide
+    (None: not reached); then, or from the start if crossing (dists(b) <= tol),
+    to the first such node and the one before, until 1e-10 wide; the right
+    end, the earliest crossing, is returned."""
+    while b - a > (1e-10 if crossing else 1e-12):
+        grid = a + (b - a) * _ZOOM_UNIT
+        ds = dists(grid)
+        below = ds <= tol
+        # the ends keep their known sides of tol against roundoff in re-evaluation
+        below[0] = False
+        below[-1] |= crossing
+        if below.any():
+            crossing = True
+            j = int(np.argmax(below))
+            a, b = grid[j - 1], grid[j]
+        else:
+            k = int(np.argmin(ds))
+            a, b = grid[max(k - 1, 0)], grid[min(k + 1, ZOOM_NODES - 1)]
+    return float(b) if crossing else None
+
+
 def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
                        tol: float = 1e-9, t_max: float = 2 * np.pi,
                        scan_nodes: int = 1000) -> float:
@@ -431,18 +456,16 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     least scan_nodes nodes and at least SCAN_NODES_PER_PERIOD nodes per
     period of the generator's fastest frequency; a grid longer than
     MAX_SCAN_NODES raises BadGrid. Each local minimum of the scan, the
-    bracket [0, t_1] included, is refined by golden-section search, earliest
-    first, and the first one that reaches tol is bisected to 1e-10 in t.
-    Minima joined by a stretch where the scan is flat to FLAT_SCAN_TOL are
-    one bracket, so a constant curve costs one search, not one per node.
+    bracket [0, t_1] included, is refined by _zoom, earliest first, and the
+    first one that reaches tol gives the crossing to 1e-10 in t. Minima
+    joined by a stretch where the scan is flat to FLAT_SCAN_TOL are one
+    bracket, so a constant curve costs one search, not one per node. Where
+    the scan itself is at or below tol at a bracket's minimum, only the
+    crossing is zoomed, from the last scan node above tol before it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     dists, freq = _passage_distance(rho0, generator, rho_target)
-
-    def dist(t: float) -> float:
-        return float(dists(np.array([t]))[0])
-
     n = max(scan_nodes, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
     if n > MAX_SCAN_NODES:
         raise BadGrid(f"first-passage scan needs {n} nodes, above the cap {MAX_SCAN_NODES} "
@@ -458,36 +481,12 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     if ds[-1] < ds[-2]:
         candidates.append(len(ts) - 1)
     for first, i in _flat_runs(ds, candidates):
-        lo = ts[max(first - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        # golden-section refinement of the local minimum
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = dist(c), dist(d)
-        while b - a > 1e-12:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = dist(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = dist(d)
-        t_min = 0.5 * (a + b)
-        if dist(t_min) > tol:
-            continue
-        # bisect for the earliest crossing below tol
-        lo_t, hi_t = lo, t_min
-        if dist(lo_t) <= tol:
-            return float(lo_t)
-        while hi_t - lo_t > 1e-10:
-            mid = 0.5 * (lo_t + hi_t)
-            if dist(mid) <= tol:
-                hi_t = mid
-            else:
-                lo_t = mid
-        return float(hi_t)
+        if ds[first] <= tol:
+            lo = int(np.flatnonzero(ds[:first] > tol)[-1])
+            return _zoom(dists, ts[lo], ts[lo + 1], tol, crossing=True)
+        t = _zoom(dists, ts[max(first - 1, 0)], ts[min(i + 1, n - 1)], tol)
+        if t is not None:
+            return t
     raise NotReached(f"target not reached within t_max = {t_max}")
 
 

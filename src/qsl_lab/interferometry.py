@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import clamp_acos_arg
+from .coherence import _chord_angle, clamp_acos_arg
 from .dynamics import evolve_unitary
 from .errors import BadN, DimMismatch, IllConditioned, ZeroShots
 from .operator_core import Observable, QuantumState, commutator, hermitianize
@@ -123,6 +123,13 @@ def prepare_sigma(eigenvalues, u_tilde) -> QuantumState:
     return QuantumState(hermitianize((U * w) @ U.conj().T))
 
 
+def _sigma_of(rho1: QuantumState) -> QuantumState:
+    """prepare_sigma in rho1's own eigenbasis: the spectrum sqrt(w)/sum sqrt(w)
+    with rho1's eigenvectors, so no eigh."""
+    w = np.sqrt(rho1.eigenvalues)
+    return QuantumState._from_spectrum(w / w.sum(), rho1.eigenvectors)
+
+
 def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
                            seed: int = 0) -> PreparedState:
     """Prepare sigma1 in rho1's eigenbasis and measure how well it is aligned.
@@ -137,7 +144,7 @@ def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
     alignment inside a degenerate subspace is unobservable.
     """
     w = rho1.eigenvalues
-    sigma = prepare_sigma(w, rho1.eigenvectors)
+    sigma = _sigma_of(rho1)
     gaps = -np.diff(w)
     if rho1.dim == 1 or gaps.min() < DEGENERACY_GAP:
         return PreparedState(sigma1=sigma, alignment_residual=0.0, iterations=0)
@@ -148,7 +155,7 @@ def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
                     for k in range(1, rho1.dim)]
         res = float(np.abs(np.subtract(overlaps, targets)).max())
     else:
-        measured = sample_swap_test(sigma, QuantumState(rho1.matrix), shots, seed)
+        measured = sample_swap_test(sigma, rho1, shots, seed)
         res = abs(measured.value - targets[0])
     return PreparedState(sigma1=sigma, alignment_residual=res, iterations=0)
 
@@ -162,7 +169,7 @@ def estimate_fidelity_exact(rho1: QuantumState, rho2: QuantumState) -> float:
     roundoff (~1e-17) for a rank-deficient rho1, which a square root lifts
     to ~3e-9.
     """
-    s = prepare_sigma(rho1.eigenvalues, rho1.eigenvectors).matrix
+    s = _sigma_of(rho1).matrix
     f = np.sqrt(rho1.eigenvalues).sum() * np.linalg.svd(rho2.sqrt() @ s, compute_uv=False).sum()
     return min(1.0, max(0.0, float(f)))
 
@@ -186,11 +193,13 @@ def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,
     hbar = H.hbar
 
     if shots is None:
-        a = float(np.trace(sigma1.matrix @ sigma2.matrix).real) * tr_sqrt**2
+        # Tr sqrt(rho1) sigma_k = sqrt(rho_k), and ||sigma1 - sigma2||^2 is a
+        # sum of swap-test overlaps; the chord keeps small angles that acos
+        # of the overlap Tr(sigma1 sigma2) (Tr sqrt(rho1))^2 rounds away
+        angle = float(_chord_angle(tr_sqrt * np.linalg.norm(sigma1.matrix - sigma2.matrix)))
         c = commutator(sigma1.matrix, H.matrix)
         w_exact = float(-np.trace(c @ c).real)
         q = w_exact * tr_sqrt**2 / 2.0
-        angle = float(np.arccos(clamp_acos_arg(a)))
         if q <= 0:
             return 0.0, 0.0
         return hbar / np.sqrt(2.0) * angle / np.sqrt(q), 0.0

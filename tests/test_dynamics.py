@@ -8,6 +8,9 @@ from qsl_lab.dynamics import (
     DampingBasis,
     LindbladModel,
     LindbladPropagator,
+    MAX_SCAN_NODES,
+    SCAN_NODES_PER_PERIOD,
+    _flat_runs,
     _passage_distance,
     affinity_closed_form_markovian,
     build_superoperator,
@@ -67,6 +70,57 @@ def _apply_oracle(L: LindbladModel, X: np.ndarray) -> np.ndarray:
             AiX = Ai @ X
             out = out + 0.5 * c[i, j] * (Ai @ XAjd - XAjd @ Ai + AiX @ Ajd - Ajd @ AiX)
     return out
+
+
+def _first_passage_oracle(rho0, generator, rho_target, tol=1e-9, t_max=2 * np.pi,
+                          scan_nodes=1000):
+    """first_passage_time with the library's scan and brackets, each bracket
+    refined one scalar time at a time: golden-section search to 1e-12 for
+    its minimum, then bisection to 1e-10 for the crossing below tol. The
+    reference that the broadcast zoom is checked against."""
+    dists, freq = _passage_distance(rho0, generator, rho_target)
+
+    def dist(t):
+        return float(dists(np.array([t]))[0])
+
+    n = max(scan_nodes, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
+    assert n <= MAX_SCAN_NODES
+    ts = np.linspace(0.0, t_max, n)
+    ds = dists(ts)
+    if ds[0] <= tol:
+        return 0.0
+    interior = np.where((ds[1:-1] <= ds[:-2]) & (ds[1:-1] <= ds[2:]))[0] + 1
+    candidates = ([0] if ds[0] <= ds[1] else []) + list(interior)
+    if ds[-1] < ds[-2]:
+        candidates.append(len(ts) - 1)
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    for first, i in _flat_runs(ds, candidates):
+        lo, hi = ts[max(first - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+        a, b = lo, hi
+        c, d = b - gr * (b - a), a + gr * (b - a)
+        fc, fd = dist(c), dist(d)
+        while b - a > 1e-12:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - gr * (b - a)
+                fc = dist(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + gr * (b - a)
+                fd = dist(d)
+        t_min = 0.5 * (a + b)
+        if dist(t_min) > tol:
+            continue
+        if dist(lo) <= tol:
+            return float(lo)
+        while t_min - lo > 1e-10:
+            mid = 0.5 * (lo + t_min)
+            if dist(mid) <= tol:
+                t_min = mid
+            else:
+                lo = mid
+        return float(t_min)
+    raise NotReached(f"target not reached within t_max = {t_max}")
 
 
 def _cascade(rate: float) -> LindbladModel:
@@ -398,6 +452,93 @@ def test_first_passage_lindblad_round_trip():
     rho0 = bloch_to_state([0.6, 0.2, -0.3])
     target = evolve_lindblad(rho0, L, 0.7)
     assert abs(first_passage_time(rho0, L, target, tol=1e-9, t_max=3.0) - 0.7) < 1e-7
+
+
+def _passage_case(kind: str, d: int, seed: int):
+    """(rho0, generator, t0): a random passage problem whose target is
+    rho0 evolved to t0."""
+    rho0 = random_state(d, d - seed % 2, seed)
+    t0 = float(np.random.default_rng(seed).uniform(0.1, 3.0))
+    if kind == "unitary":
+        gen = random_observable(d, seed + 1)
+    elif kind == "cascade":
+        gen = _cascade(0.2 + 0.1 * (seed % 3))
+    else:
+        gen = _random_model(d, seed + 1)
+    return rho0, gen, t0
+
+
+@pytest.mark.parametrize("kind,d", [("unitary", 2), ("unitary", 3), ("unitary", 4),
+                                    ("lindblad", 2), ("lindblad", 3), ("cascade", 3)])
+def test_first_passage_matches_scalar_oracle(kind, d):
+    for seed in range(40 + 10 * d, 43 + 10 * d):
+        rho0, gen, t0 = _passage_case(kind, d, seed)
+        evolve = evolve_unitary if kind == "unitary" else evolve_lindblad
+        target = evolve(rho0, gen, t0)
+        t_max = 4.0 if kind != "cascade" else 2 * np.pi
+        got = first_passage_time(rho0, gen, target, t_max=t_max)
+        assert abs(got - _first_passage_oracle(rho0, gen, target, t_max=t_max)) < 1e-10
+        assert got <= t0 + 1e-10
+
+
+def test_first_passage_broadcast_count(monkeypatch):
+    # each refinement step is one broadcast of the distance; the scalar
+    # golden-section and bisection loops made 77-80 calls per passage
+    import qsl_lab.dynamics
+    calls = []
+
+    def counted(*args):
+        dists, freq = _passage_distance(*args)
+
+        def wrapper(ts):
+            calls.append(np.size(ts))
+            return dists(ts)
+        return wrapper, freq
+
+    monkeypatch.setattr(qsl_lab.dynamics, "_passage_distance", counted)
+    rho = bloch_to_state([1, 0, 0])
+    H = bloch_hamiltonian([0, 0, 1])
+    L, _ = squeezed_vacuum_model(0.2, 0.5, 0.1)
+    rho_l = bloch_to_state([0.6, 0.2, -0.3])
+    runs = [
+        lambda: first_passage_time(rho, H, rho, tol=1e-8),
+        lambda: first_passage_time(rho, H, evolve_unitary(rho, H, np.pi / 2), tol=1e-8),
+        lambda: first_passage_time(rho, H, QuantumState(np.diag([0.9, 0.1])), tol=1e-8,
+                                   t_max=3.0),
+        lambda: first_passage_time(rho, H, evolve_unitary(rho, H, 0.002)),
+        lambda: first_passage_time(rho_l, L, evolve_lindblad(rho_l, L, 0.7), tol=1e-9,
+                                   t_max=3.0),
+    ]
+    for run in runs:
+        calls.clear()
+        try:
+            run()
+        except NotReached:
+            pass
+        assert 1 <= len(calls) <= 16
+
+
+def test_first_passage_target_on_a_scan_node():
+    # the scan itself lands within tol: only the crossing before it is zoomed
+    rho, H = random_state(3, 2, 90), random_observable(3, 91)
+    t0 = np.linspace(0.0, 2 * np.pi, 1000)[300]
+    target = evolve_unitary(rho, H, t0)
+    got = first_passage_time(rho, H, target)
+    assert abs(got - _first_passage_oracle(rho, H, target)) < 1e-10
+    assert t0 - 1e-8 < got <= t0
+
+
+def test_first_passage_below_tol_before_the_bracket():
+    # the distance to the stationary state decays monotonically: no interior
+    # minimum, the one candidate is the last node, and the scan is below tol
+    # from t ~ 38.7 on, far left of that bracket
+    L = LindbladModel(None, (SIGMA_MINUS,), np.array([[1.0]]))
+    rho0 = bloch_to_state([0.3, 0.2, 0.5])
+    target = evolve_lindblad(rho0, L, 200.0)
+    dist, _ = _passage_distance(rho0, L, target)
+    t = first_passage_time(rho0, L, target, tol=1e-9, t_max=60.0)
+    assert dist(np.array([t]))[0] <= 1e-9 < dist(np.array([t - 1e-10]))[0]
+    assert abs(t - 38.7132) < 1e-4
 
 
 @pytest.mark.parametrize("model", ["unitary", "lindblad_d2", "lindblad_d3", "cascade_d3"])

@@ -113,6 +113,31 @@ def test_alignment_exact_mode():
     assert np.abs(c).max() < 1e-6
 
 
+def test_prepare_sigma_rotated_basis():
+    U = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3))
+                     + 1j * np.random.default_rng(6).normal(size=(3, 3)))[0]
+    w = np.sqrt([0.6, 0.3, 0.1])
+    sigma = prepare_sigma([0.6, 0.3, 0.1], U)
+    assert np.abs(sigma.matrix - (U * (w / w.sum())) @ U.conj().T).max() < 1e-14
+
+
+def test_prepared_sigma_reuses_the_spectrum(monkeypatch):
+    # sigma1 is built from rho1's cached spectrum, in both modes, with no eigh
+    rho1, rho2 = random_state(4, 4, 61), random_state(4, 3, 62)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    exact = basis_alignment_search(rho1)
+    shot = basis_alignment_search(rho1, shots=1000, seed=1)
+    estimate_fidelity_exact(rho1, rho2)
+    assert calls == []
+    w = np.sqrt(rho1.eigenvalues)
+    for prep in (exact, shot):
+        assert np.array_equal(prep.sigma1.eigenvalues, w / w.sum())
+        assert np.abs(prep.sigma1.matrix - prepare_sigma(rho1.eigenvalues, rho1.eigenvectors)
+                      .matrix).max() < 1e-15
+
+
 def test_alignment_degenerate_short_circuit():
     mixed = QuantumState(np.eye(2) / 2)
     prep = basis_alignment_search(mixed, shots=1000, seed=0)
@@ -150,6 +175,18 @@ def test_protocol_exact_matches_library():
         assert err == 0.0
         direct = tl_bound(rho, H, evolve_unitary(rho, H, t))
         assert abs(tl - direct) < 1e-6
+
+
+def test_protocol_exact_small_angles():
+    # the chord sqrt(rho1) - sqrt(rho2) keeps the angle that acos of the
+    # overlap lost: 3.4e-5 relative at t = 1e-4 with the acos form
+    for i in range(100):
+        d = 2 + i % 4
+        rho = random_state(d, 1 + i % d, 900 + i)
+        H = random_observable(d, 1000 + i)
+        tl, _ = estimate_tl_from_protocol(rho, H, 1e-4)
+        direct = tl_bound(rho, H, evolve_unitary(rho, H, 1e-4))
+        assert abs(tl - direct) <= 1e-10 * direct
 
 
 def test_protocol_exact_case3():
