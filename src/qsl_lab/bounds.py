@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ from .coherence import (
     variance,
     wy_coherence,
 )
-from .dynamics import LindbladModel, evolve_unitary
+from .dynamics import MAX_SCAN_NODES, LindbladModel, evolve_unitary
 from .errors import BadAlpha, BadGrid, DimMismatch, FrozenState
 from .operator_core import (
     EIG_CUT,
@@ -31,6 +33,8 @@ from .operator_core import (
 ANGLE_TOL = 1e-12
 COHERENCE_TOL = 1e-14
 DEFAULT_ALPHA_GRID = np.arange(0.25, 4.0 + 1e-9, 0.05)
+PANEL_NODES = 64  # Gauss-Legendre nodes per panel of campo_markovian_bound
+PERIODS_PER_PANEL = 4  # of the generator's fastest frequency, at most
 
 
 def bargmann_angle(rho1: QuantumState, rho2: QuantumState) -> float:
@@ -321,17 +325,42 @@ def markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float,
     return tau * angle / (fine + (fine - coarse) / 3.0)
 
 
-def campo_markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float,
-                          n_nodes: int = 201) -> float:
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The PANEL_NODES Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _panel_quadrature(tau: float, frequency: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite Gauss-Legendre on [0, tau]: m =
+    max(1, ceil(tau f / (2 pi PERIODS_PER_PANEL))) equal panels of
+    PANEL_NODES nodes, so no panel spans more than PERIODS_PER_PANEL periods
+    of the angular frequency f. More than MAX_SCAN_NODES nodes raise BadGrid."""
+    m = max(1, math.ceil(tau * frequency / (2 * np.pi * PERIODS_PER_PANEL)))
+    if m * PANEL_NODES > MAX_SCAN_NODES:
+        raise BadGrid(f"quadrature needs {m * PANEL_NODES} nodes, above the cap "
+                      f"{MAX_SCAN_NODES} (frequency {frequency:.3e}, tau {tau})")
+    x, w = _gauss_legendre()
+    h = tau / m
+    return (h * (np.arange(m)[:, None] + x)).ravel(), np.tile(h * w, m)
+
+
+def campo_markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float) -> float:
     """Relative-purity bound for semigroup dynamics:
-    tau >= |1 - f(tau)| sqrt(Tr rho0^2) / avg ||L rho_t||_HS."""
+    tau >= |1 - f(tau)| sqrt(Tr rho0^2) / avg ||L rho_t||_HS.
+
+    The average is composite Gauss-Legendre (_panel_quadrature) on the
+    generator's fastest frequency; one propagation gives every node and tau.
+    """
     if tau <= 0:
         raise BadGrid(f"tau must be positive, got {tau}")
-    ts = np.linspace(0.0, tau, n_nodes)
-    traj = L._propagator.trajectory(rho0, ts)
+    prop = L._propagator
+    ts, weights = _panel_quadrature(tau, prop.max_frequency)
+    traj = prop.trajectory(rho0, np.append(ts, tau))
     f = relative_purity(rho0, traj._state(-1))
-    vals = np.linalg.norm(traj.states.reshape(n_nodes, -1) @ L.S.T, axis=1)
-    avg = float(simpson(vals, x=ts)) / tau
+    vals = np.linalg.norm(traj.states[:-1].reshape(ts.size, -1) @ L.S.T, axis=1)
+    avg = float(weights @ vals) / tau
     if avg <= 1e-14:
         return 0.0
     return abs(1.0 - f) * np.sqrt(rho0.purity()) / avg

@@ -115,7 +115,10 @@ def lindblad_coherence(rho: QuantumState, L) -> float:
 
     sqrt(2Q) equals the speed ||d sqrt(rho_t)/dt|| only when the square
     root follows the semigroup, d sqrt(rho_t)/dt = L sqrt(rho_t): true for
-    unitary and dephasing generators, false for amplitude damping (see
+    unitary generators and for a state diagonal in a dephasing generator's
+    basis, false in general, for a generic state under dephasing too
+    (deviation ~0.018 for Bloch vector (0.3, 0.2, 0.5) under
+    squeezed_vacuum_model(0, 0.4, 0)) and under amplitude damping (see
     dynamics.sqrt_evolution_diagnostic).
     """
     if rho.dim != L.dim:

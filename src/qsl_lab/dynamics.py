@@ -372,22 +372,31 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
     """(dist, frequency): dist maps an array of times to the distances
     ||rho(t) - rho_target||_F, and frequency is the generator's fastest
     angular frequency, (w_max - w_min)/hbar for a Hamiltonian and the
-    largest |Im lambda| of S for a Lindblad generator."""
+    largest |Im lambda| of S for a Lindblad generator.
+
+    In H's eigenbasis the diagonal of rho(t) is constant and entry (k, j)
+    is the conjugate of (j, k), so dist^2 = sum_j |rho_jj - target_jj|^2
+    + 2 sum_{j<k} |e^{i (w_j - w_k) t} rho_jk - target_jk|^2: one phase per
+    pair j < k.
+    """
     target = rho_target.matrix
     if isinstance(generator, Observable):
         w, V = generator._spectrum
-        rho_eig = (V.conj().T @ rho0.matrix @ V).ravel()
-        tgt_eig = (V.conj().T @ target @ V).ravel()
-        gaps = np.subtract.outer(w, w).ravel() / generator.hbar
+        rho_eig = V.conj().T @ rho0.matrix @ V
+        tgt_eig = V.conj().T @ target @ V
+        upper = np.less.outer(np.arange(w.size), np.arange(w.size))
+        rho_up, tgt_up = rho_eig[upper], tgt_eig[upper]
+        gaps = np.subtract.outer(w, w)[upper] / generator.hbar
+        diag = np.diagonal(rho_eig - tgt_eig)
+        diag_sq = float(np.vdot(diag, diag).real)
 
         def dist(ts: np.ndarray) -> np.ndarray:
-            # e^{i (w_j - w_k) t} rho_jk - target_jk, built in one (n, d^2) buffer
-            diff = np.zeros((len(ts), gaps.size), dtype=complex)
-            np.outer(ts, gaps, out=diff.imag)
+            # e^{i (w_j - w_k) t} rho_jk - target_jk, j < k, in one (n, d(d-1)/2) buffer
+            diff = np.multiply.outer(1j * ts, gaps)
             np.exp(diff, out=diff)
-            diff *= rho_eig
-            diff -= tgt_eig
-            return _row_norms(diff)
+            diff *= rho_up
+            diff -= tgt_up
+            return np.sqrt(diag_sq + 2.0 * _row_sq_norms(diff))
 
         return dist, (w[0] - w[-1]) / generator.hbar
     prop = generator._propagator
@@ -396,16 +405,16 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
     def dist(ts: np.ndarray) -> np.ndarray:
         diff = prop.evolve_vec(v0, ts)
         diff -= v_target
-        return _row_norms(diff)
+        return np.sqrt(_row_sq_norms(diff))
 
     return dist, prop.max_frequency
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a C-contiguous complex (n, k) array,
-    read through its float view so no temporary is made."""
+def _row_sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a C-contiguous complex (n, k)
+    array, read through its float view so no temporary is made."""
     flat = diff.view(float)
-    return np.sqrt(np.einsum("nk,nk->n", flat, flat))
+    return np.einsum("nk,nk->n", flat, flat)
 
 
 def _flat_runs(ds: np.ndarray, candidates):
@@ -462,6 +471,13 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     bracket, so a constant curve costs one search, not one per node. Where
     the scan itself is at or below tol at a bracket's minimum, only the
     crossing is zoomed, from the last scan node above tol before it.
+
+    The distance moves no faster than ||d rho/dt||_F <= rate:
+    ||[H, rho0]||_F / hbar for a Hamiltonian (constant along the orbit),
+    ||S||_F for a Lindblad generator (as ||rho_t||_F <= 1). Every time in a
+    bracket lies within half a scan step h of a scan node, so a bracket
+    whose scan minimum exceeds tol + rate h / 2 cannot reach tol and is
+    skipped without a search.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -474,6 +490,12 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     ds = dists(ts)
     if ds[0] <= tol:
         return 0.0
+    if isinstance(generator, Observable):
+        h_rho = generator.matrix @ rho0.matrix  # [H, rho0] = H rho0 - (H rho0)†
+        rate = np.linalg.norm(h_rho - h_rho.conj().T) / generator.hbar
+    else:
+        rate = np.linalg.norm(generator.S)
+    reachable = tol + rate * (ts[1] - ts[0]) / 2
     # candidate minima of the sampled distance, earliest first; a minimum
     # inside the first step shows only as ds[0] <= ds[1]
     interior = np.where((ds[1:-1] <= ds[:-2]) & (ds[1:-1] <= ds[2:]))[0] + 1
@@ -484,26 +506,40 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
         if ds[first] <= tol:
             lo = int(np.flatnonzero(ds[:first] > tol)[-1])
             return _zoom(dists, ts[lo], ts[lo + 1], tol, crossing=True)
-        t = _zoom(dists, ts[max(first - 1, 0)], ts[min(i + 1, n - 1)], tol)
+        lo, hi = max(first - 1, 0), min(i + 1, n - 1)
+        if ds[lo:hi + 1].min() > reachable:
+            continue
+        t = _zoom(dists, ts[lo], ts[hi], tol)
         if t is not None:
             return t
     raise NotReached(f"target not reached within t_max = {t_max}")
 
 
-def sqrt_evolution_diagnostic(rho0: QuantumState, L: LindbladModel, t_grid,
-                              fd_step: float = 1e-5) -> dict:
-    """Compare d/dt sqrt(rho_t) (central differences) with L applied to sqrt(rho_t).
+def sqrt_evolution_diagnostic(rho0: QuantumState, L: LindbladModel, t_grid) -> dict:
+    """Compare d/dt sqrt(rho_t) with L applied to sqrt(rho_t).
 
-    The claim that they agree is exact for unitary conjugation and for
-    commuting (dephasing) structures but not in general; this only
-    reports the deviation, it takes no position. All three nodes of every
-    difference come from one propagation.
+    The velocity is exact: in rho_t's eigenbasis (w, V), sqrt(rho) X +
+    X sqrt(rho) = d rho/dt = S vec rho_t gives X~_jk = (V† rho' V)_jk /
+    (sqrt(w_j) + sqrt(w_k)). Where rho' feeds a direction of rho_t's
+    kernel (both eigenvalues 0, entry above STATE_EIG_TOL) sqrt(rho_t) has
+    no derivative and the deviation is inf. The two agree for a unitary
+    generator and for a state diagonal in a dephasing generator's basis
+    (which is stationary), but not in general: under pure dephasing,
+    squeezed_vacuum_model(0, 0.4, 0), Bloch vector (0.3, 0.2, 0.5)
+    deviates by ~0.018 at t = 0, and amplitude damping breaks the law too.
+    This only reports the deviation, it takes no position. Every node
+    comes from one propagation.
     """
     ts = np.asarray(t_grid, dtype=float)
-    lo = np.maximum(ts - fd_step, 0.0)
-    roots = L._propagator.trajectory(rho0, np.concatenate([ts + fd_step, lo, ts])).roots
-    sp, sm, s = roots.reshape(3, ts.size, rho0.dim, rho0.dim)
-    lhs = (sp - sm) / (ts + fd_step - lo)[:, None, None]
-    rhs = (s.reshape(ts.size, -1) @ L.S.T).reshape(s.shape)
+    traj = L._propagator.trajectory(rho0, ts)
+    n, d = ts.size, rho0.dim
+    V = traj.eigenvectors
+    dot_eig = _dagger(V) @ (traj.states.reshape(n, -1) @ L.S.T).reshape(n, d, d) @ V
+    sw = np.sqrt(traj.eigenvalues)
+    den = sw[:, :, None] + sw[:, None, :]
+    x = np.divide(dot_eig, den, out=np.zeros_like(dot_eig), where=den > 0)
+    lhs = V @ x @ _dagger(V)
+    rhs = (traj.roots.reshape(n, -1) @ L.S.T).reshape(n, d, d)
     devs = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    devs[((den == 0) & (np.abs(dot_eig) > STATE_EIG_TOL)).any(axis=(1, 2))] = np.inf
     return {"times": ts, "deviations": devs, "max_deviation": float(devs.max())}

@@ -402,7 +402,7 @@ def test_campo_markovian_bound_valid():
 
 def test_campo_markovian_bound_matches_apply_oracle():
     # the batched ||S vec rho_t|| average against the term-by-term generator on each node
-    from scipy.integrate import simpson
+    from qsl_lab.bounds import _panel_quadrature
     from qsl_lab.coherence import relative_purity
     from qsl_lab.dynamics import LindbladPropagator
     from test_dynamics import _apply_oracle
@@ -410,11 +410,46 @@ def test_campo_markovian_bound_matches_apply_oracle():
     prop = LindbladPropagator(L)
     rho0 = bloch_to_state([0.3, -0.5, 0.6])
     tau = 2.3
-    ts = np.linspace(0.0, tau, 201)
+    ts, weights = _panel_quadrature(tau, prop.max_frequency)
     vals = [np.linalg.norm(_apply_oracle(L, prop(rho0, t).matrix)) for t in ts]
     f = relative_purity(rho0, prop(rho0, tau))
-    want = abs(1 - f) * np.sqrt(rho0.purity()) / (simpson(vals, x=ts) / tau)
+    want = abs(1 - f) * np.sqrt(rho0.purity()) / (np.dot(weights, vals) / tau)
     assert abs(campo_markovian_bound(rho0, L, tau) - want) <= 1e-13 * want
+
+
+def _campo_simpson(rho0, L, tau, n):
+    """campo_markovian_bound with its average taken by n-node composite Simpson."""
+    from scipy.integrate import simpson
+    from qsl_lab.coherence import relative_purity
+    ts = np.linspace(0.0, tau, n)
+    traj = L._propagator.trajectory(rho0, ts)
+    vals = np.linalg.norm(traj.states.reshape(n, -1) @ L.S.T, axis=1)
+    f = relative_purity(rho0, traj._state(-1))
+    return abs(1 - f) * np.sqrt(rho0.purity()) / (simpson(vals, x=ts) / tau)
+
+
+@pytest.mark.parametrize("case", ["random_d3", "squeezed_rabi60", "rank1_d3"])
+def test_campo_markovian_bound_converges(case):
+    # against a 40,001-node Simpson reference, and never farther from it than
+    # the former 201-node Simpson rule (3.1e-4 off on random_d3)
+    from test_dynamics import _random_model
+    if case == "random_d3":
+        L, rho0, tau = _random_model(3, 102), random_state(3, 3, 202), 3.0
+    elif case == "squeezed_rabi60":  # 48 periods of the drive in [0, tau]
+        L, rho0, tau = squeezed_vacuum_model(5, 4, 1, rabi=60)[0], bloch_to_state(
+            [0.3, -0.5, 0.6]), 5.0
+    else:
+        L, rho0, tau = _random_model(3, 102), random_state(3, 1, 203), 3.0
+    want = _campo_simpson(rho0, L, tau, 40001)
+    err = abs(campo_markovian_bound(rho0, L, tau) - want)
+    assert err <= 1e-8 * want
+    assert err <= abs(_campo_simpson(rho0, L, tau, 201) - want)
+
+
+def test_campo_markovian_bound_node_cap():
+    L = LindbladModel(Observable(1e5 * PAULI_Z), (SIGMA_MINUS,), np.array([[0.1]]))
+    with pytest.raises(BadGrid):
+        campo_markovian_bound(bloch_to_state([1, 0, 0]), L, 100.0)
 
 
 def test_simple_case_closed_forms_consistent():

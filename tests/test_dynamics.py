@@ -518,6 +518,30 @@ def test_first_passage_broadcast_count(monkeypatch):
         assert 1 <= len(calls) <= 16
 
 
+def test_first_passage_skips_unreachable_minima(monkeypatch):
+    # the minimum before the passage stays farther above tol than the distance
+    # can fall within half a scan step, so it is dropped without a zoom search
+    import qsl_lab.dynamics
+    calls = []
+
+    def counted(*args):
+        dists, freq = _passage_distance(*args)
+
+        def wrapper(ts):
+            calls.append(np.size(ts))
+            return dists(ts)
+        return wrapper, freq
+
+    H = bloch_hamiltonian([0.6, 0, 0.8], omega=30)
+    rho = bloch_to_state([0.5, 0.3, -0.2])
+    target = evolve_unitary(rho, H, 0.07)
+    want = _first_passage_oracle(rho, H, target)
+    monkeypatch.setattr(qsl_lab.dynamics, "_passage_distance", counted)
+    got = first_passage_time(rho, H, target)
+    assert len(calls) <= 8  # 15 when every minimum was zoomed
+    assert abs(got - want) < 1e-10
+
+
 def test_first_passage_target_on_a_scan_node():
     # the scan itself lands within tol: only the crossing before it is zoomed
     rho, H = random_state(3, 2, 90), random_observable(3, 91)
@@ -623,3 +647,23 @@ def test_sqrt_evolution_diagnostic():
     damp = LindbladModel(None, (SIGMA_MINUS,), np.array([[0.8]]))
     rep = sqrt_evolution_diagnostic(random_state(2, 2, 16), damp, grid)
     assert rep["max_deviation"] > 1e-3  # the square-root evolution law fails here
+
+
+def test_sqrt_evolution_diagnostic_generic_state_under_dephasing():
+    # dephasing leaves only a state diagonal in its basis on the law: a
+    # generic qubit deviates, by the exact velocity and by a central difference
+    L, _ = squeezed_vacuum_model(0.0, 0.4, 0.0)
+    rho = bloch_to_state([0.3, 0.2, 0.5])
+    rep = sqrt_evolution_diagnostic(rho, L, [0.0, 1.0])
+    assert abs(rep["deviations"][0] - 0.0185) < 2e-4
+    h = 1e-5
+    roots = LindbladPropagator(L).trajectory(rho, [1.0 - h, 1.0 + h]).roots
+    fd = (roots[1] - roots[0]) / (2 * h) - L.apply(evolve_lindblad(rho, L, 1.0).sqrt())
+    assert abs(rep["deviations"][1] - np.linalg.norm(fd)) < 1e-8
+
+
+def test_sqrt_evolution_diagnostic_singular_velocity():
+    # the excited state decays: sqrt(rho_t) moves like sqrt(t) at t = 0
+    L = LindbladModel(None, (SIGMA_MINUS,), np.array([[0.8]]))
+    rep = sqrt_evolution_diagnostic(bloch_to_state([0, 0, -1]), L, [0.0, 0.5])
+    assert rep["deviations"][0] == np.inf and np.isfinite(rep["deviations"][1])
