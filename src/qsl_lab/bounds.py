@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .coherence import (
     _bures_angle,
@@ -62,31 +61,6 @@ def tl_bound(rho1: QuantumState, H: Observable, rho2: QuantumState) -> float:
     """Coherence speed limit (hbar/sqrt(2)) acos(A) / sqrt(Q(rho1, H)): the
     alpha = 1 column of the spectral-power family."""
     return float(_alpha_bounds(_alpha_terms(rho1, H, rho2, np.ones(1)), H.hbar)[0])
-
-
-def check_grid(grid) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise BadGrid("need a 1-D grid with at least 3 nodes")
-    if np.any(np.diff(grid) <= 0):
-        raise BadGrid("grid must be strictly ascending")
-    if grid[0] != 0.0:
-        raise BadGrid("grid must start at t = 0")
-    return grid
-
-
-def tl_bound_time_avg(rho1: QuantumState, H_path, rho2: QuantumState, grid) -> float:
-    """Time-averaged variant: angle over the mean of sqrt(Q(rho1, H(t))).
-
-    H_path maps a grid node to an Observable; the average is composite
-    Simpson over [0, tau].
-    """
-    grid = check_grid(grid)
-    tau = grid[-1]
-    vals = np.array([np.sqrt(wy_coherence(rho1, H_path(t))) for t in grid])
-    avg = float(simpson(vals, x=grid)) / tau
-    return _quotient(bargmann_angle(rho1, rho2), avg**2, H_path(grid[0]).hbar / np.sqrt(2.0),
-                     "time-averaged coherence")
 
 
 def _alpha_grid(alpha_grid) -> np.ndarray:

@@ -36,6 +36,7 @@ from .operator_core import (
 REHERM_TOL = 1e-8
 STATE_EIG_TOL = 1e-8
 SCAN_NODES_PER_PERIOD = 8
+MIN_SCAN_NODES = 1000
 MAX_SCAN_NODES = 2**17
 FLAT_SCAN_TOL = 1e-14  # adjacent scan distances closer than this agree to roundoff
 ZOOM_NODES = 33  # nodes per broadcast of the first-passage refinement
@@ -457,12 +458,11 @@ def _zoom(dists, a: float, b: float, tol: float, crossing: bool = False):
 
 
 def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
-                       tol: float = 1e-9, t_max: float = 2 * np.pi,
-                       scan_nodes: int = 1000) -> float:
+                       tol: float = 1e-9, t_max: float = 2 * np.pi) -> float:
     """Earliest t in [0, t_max] with ||rho(t) - rho_target||_F <= tol.
 
     The distance is scanned in one broadcast on a uniform grid with at
-    least scan_nodes nodes and at least SCAN_NODES_PER_PERIOD nodes per
+    least MIN_SCAN_NODES nodes and at least SCAN_NODES_PER_PERIOD nodes per
     period of the generator's fastest frequency; a grid longer than
     MAX_SCAN_NODES raises BadGrid. Each local minimum of the scan, the
     bracket [0, t_1] included, is refined by _zoom, earliest first, and the
@@ -482,7 +482,7 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     if tol <= 0:
         raise ValueError("tol must be positive")
     dists, freq = _passage_distance(rho0, generator, rho_target)
-    n = max(scan_nodes, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
+    n = max(MIN_SCAN_NODES, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
     if n > MAX_SCAN_NODES:
         raise BadGrid(f"first-passage scan needs {n} nodes, above the cap {MAX_SCAN_NODES} "
                       f"(frequency {freq:.3e}, t_max {t_max})")

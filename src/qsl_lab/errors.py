@@ -39,8 +39,8 @@ class BadAlpha(QslError):
 
 
 class BadGrid(QslError):
-    """Time grid is empty, unsorted, does not cover the interval, or needs
-    more nodes than the first-passage scan allows."""
+    """Time grid is empty or has too few nodes, tau is not positive, or a
+    scan or quadrature needs more nodes than MAX_SCAN_NODES allows."""
 
 
 class NotReached(QslError):

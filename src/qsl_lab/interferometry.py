@@ -16,6 +16,7 @@ DEGENERACY_GAP = 1e-8
 # root clustering in eigs_from_power_sums
 CLUSTER_SPREAD = 4.0
 ROOT_RESIDUE_ULPS = 16.0
+DTAU = 0.4  # time step of the shot-mode coherence finite difference
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,9 @@ def eigs_from_power_sums(moments) -> np.ndarray:
     moments[k-1] = Tr(rho^k) for k = 1..d; the first moment must be 1.
     An m-fold eigenvalue is an m-fold root, which roundoff splits into a
     star of radius ~(d eps)^(1/m): complex pairs, or a real pair around 0.
+    A k-fold zero eigenvalue (rank d - k) makes the last k coefficients
+    vanish; those that are at roundoff, |c_k| <= ROOT_RESIDUE_ULPS * d * eps
+    * sum|c|, are set to 0 first, so np.roots returns those zeros exactly.
     Adjacent roots (by real part) join one cluster when their gap is within
     CLUSTER_SPREAD times their larger distance from [0, inf), and each
     cluster becomes its mean. A cluster counts as one multiple root only if
@@ -98,6 +102,8 @@ def eigs_from_power_sums(moments) -> np.ndarray:
     coeffs[0] = 1.0
     for k in range(1, d + 1):
         coeffs[k] = -np.dot(coeffs[k - 1::-1], p[:k]) / k
+    roundoff = ROOT_RESIDUE_ULPS * d * np.finfo(float).eps * np.abs(coeffs).sum()
+    coeffs[np.flatnonzero(np.abs(coeffs) > roundoff)[-1] + 1:] = 0.0
     roots = np.sort_complex(np.roots(coeffs))
     defect = np.abs(roots - np.clip(roots.real, 0.0, None))
     split = np.diff(roots.real) > CLUSTER_SPREAD * np.maximum(defect[:-1], defect[1:])
@@ -105,7 +111,7 @@ def eigs_from_power_sums(moments) -> np.ndarray:
     sizes = np.bincount(labels)
     means = np.bincount(labels, roots.real) / sizes
     residue = np.where(sizes > 1, np.abs(np.polyval(coeffs, means)), 0.0)
-    if residue.max() > ROOT_RESIDUE_ULPS * d * np.finfo(float).eps * np.abs(coeffs).sum():
+    if residue.max() > roundoff:
         raise IllConditioned(f"clustered roots are not one multiple root "
                              f"(residue {residue.max():.3e})")
     w = means[labels]
@@ -175,14 +181,14 @@ def estimate_fidelity_exact(rho1: QuantumState, rho2: QuantumState) -> float:
 
 
 def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,
-                              shots: int | None = None, seed: int = 0,
-                              dtau: float = 0.4) -> tuple[float, float]:
+                              shots: int | None = None,
+                              seed: int = 0) -> tuple[float, float]:
     """End-to-end protocol estimate of the speed limit and its error bar.
 
     Pipeline: moments -> spectrum -> alignment -> overlap measurements ->
     rescaled coherence and affinity -> the bound formula. In shot mode the
-    coherence is read off a finite-difference of overlaps at time step dtau,
-    W = 2 hbar^2 (Tr sigma1^2 - Tr(sigma1 sigma1(dtau))) / dtau^2, and errors
+    coherence is read off a finite-difference of overlaps at time step DTAU,
+    W = 2 hbar^2 (Tr sigma1^2 - Tr(sigma1 sigma1(DTAU))) / DTAU^2, and errors
     propagate to first order; exact mode returns error bar 0.
     """
     eigs = eigs_from_power_sums(power_sums(rho1, rho1.dim))
@@ -205,14 +211,14 @@ def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,
         return hbar / np.sqrt(2.0) * angle / np.sqrt(q), 0.0
 
     est_a = sample_swap_test(sigma1, sigma2, shots, seed)
-    sigma1_d = evolve_unitary(sigma1, H, dtau)
+    sigma1_d = evolve_unitary(sigma1, H, DTAU)
     est_self = sample_swap_test(sigma1, sigma1, shots, seed + 1)
     est_shift = sample_swap_test(sigma1, sigma1_d, shots, seed + 2)
 
     a = clamp_acos_arg(est_a.value * tr_sqrt**2)
-    w_fd = 2.0 * hbar**2 * (est_self.value - est_shift.value) / dtau**2
+    w_fd = 2.0 * hbar**2 * (est_self.value - est_shift.value) / DTAU**2
     sig_a = est_a.std_error * tr_sqrt**2
-    sig_w = 2.0 * hbar**2 / dtau**2 * np.hypot(est_self.std_error, est_shift.std_error)
+    sig_w = 2.0 * hbar**2 / DTAU**2 * np.hypot(est_self.std_error, est_shift.std_error)
     sig_q = sig_w * tr_sqrt**2 / 2.0
     # a sampled coherence below its own noise floor is unresolved; flooring
     # at one standard error keeps the estimate finite with an honest bar

@@ -63,14 +63,14 @@ def _as_matrix(obj) -> np.ndarray:
     return np.asarray(obj, dtype=complex)
 
 
-def hermitian_eig(M, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
+def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a Hermitian matrix (to HERM_TOL).
 
     Returns (eigenvalues descending, eigenvectors as columns).
     """
     A = _as_matrix(M)
-    if herm_deviation(A) > tol:
-        raise NonHermitian(f"deviation {herm_deviation(A):.3e} exceeds {tol:.1e}")
+    if herm_deviation(A) > HERM_TOL:
+        raise NonHermitian(f"deviation {herm_deviation(A):.3e} exceeds {HERM_TOL:.1e}")
     w, V = np.linalg.eigh(hermitianize(A))
     return w[::-1].copy(), V[:, ::-1].copy()
 
@@ -141,19 +141,17 @@ class Observable:
 
     matrix: np.ndarray
     hbar: float = 1.0
-    omega: float = 1.0
 
-    def __init__(self, matrix, hbar: float = 1.0, omega: float = 1.0) -> None:
+    def __init__(self, matrix, hbar: float = 1.0) -> None:
         M = _as_matrix(matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DimMismatch(f"expected a square matrix, got shape {M.shape}")
         if herm_deviation(M) > 1e-12:
             raise NonHermitian(f"observable deviates from Hermiticity by {herm_deviation(M):.3e}")
-        if hbar <= 0 or omega <= 0:
-            raise ValueError("hbar and omega must be positive")
+        if hbar <= 0:
+            raise ValueError(f"hbar must be positive, got {hbar}")
         object.__setattr__(self, "matrix", hermitianize(M))
         object.__setattr__(self, "hbar", float(hbar))
-        object.__setattr__(self, "omega", float(omega))
 
     @property
     def dim(self) -> int:
@@ -242,8 +240,10 @@ def state_to_bloch(rho) -> np.ndarray:
 
 def bloch_hamiltonian(n_hat, omega: float = 1.0, alpha_phase: float = 0.0,
                       hbar: float = 1.0) -> Observable:
-    """H = omega (n.sigma + alpha I) for a unit axis n."""
+    """H = omega (n.sigma + alpha I) for a unit axis n and omega > 0."""
+    if omega <= 0:
+        raise ValueError(f"omega must be positive, got {omega}")
     n = np.asarray(n_hat, dtype=float)
     M = omega * (n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
                  + alpha_phase * np.eye(2))
-    return Observable(M, hbar=hbar, omega=omega)
+    return Observable(M, hbar=hbar)

@@ -22,7 +22,6 @@ from qsl_lab.bounds import (
     simple_case_bound_verbatim,
     system_environment_bound,
     tl_bound,
-    tl_bound_time_avg,
     u_quantity,
 )
 from qsl_lab.coherence import affinity, sld_qfi, uhlmann_fidelity, variance, wy_coherence
@@ -87,33 +86,6 @@ def test_frozen_state_error():
     with pytest.raises(FrozenState):
         tl_bound(diag, Observable(PAULI_Z), other)
     assert tl_bound(diag, Observable(PAULI_Z), diag) == 0.0
-
-
-def test_time_avg_reductions():
-    rho1, H, rho2 = case3()
-    grid = np.linspace(0, 1.1, 101)
-    const = tl_bound_time_avg(rho1, lambda t: H, rho2, grid)
-    assert abs(const - tl_bound(rho1, H, rho2)) < 1e-10
-    # H(t) = g(t) H0 scales the average by the mean of g
-    g = lambda t: 1.0 + t
-    scaled = tl_bound_time_avg(rho1, lambda t: Observable(g(t) * H.matrix), rho2, grid)
-    mean_g = np.trapezoid(g(grid), grid) / grid[-1]
-    assert abs(scaled - tl_bound(rho1, H, rho2) / mean_g) < 1e-4
-    with pytest.raises(BadGrid):
-        tl_bound_time_avg(rho1, lambda t: H, rho2, [0.5, 0.2, 1.0])
-
-
-def test_time_avg_piecewise():
-    plus = QuantumState(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    tau = 2.0
-    grid = np.linspace(0, tau, 401)
-    # sigma_z for t < tau/2 then sigma_x (which commutes with |+><+|)
-    path = lambda t: Observable(PAULI_Z if t < tau / 2 else PAULI_X)
-    rho2 = evolve_unitary(plus, Observable(PAULI_Z), 0.3)
-    got = tl_bound_time_avg(plus, path, rho2, grid)
-    avg = 0.5 * np.sqrt(wy_coherence(plus, Observable(PAULI_Z)))
-    expected = bargmann_angle(plus, rho2) / (np.sqrt(2) * avg)
-    assert abs(got - expected) < 1e-2  # Simpson straddles the jump
 
 
 def test_alpha_bound_reduces_to_tl_at_one():

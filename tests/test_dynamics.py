@@ -9,6 +9,7 @@ from qsl_lab.dynamics import (
     LindbladModel,
     LindbladPropagator,
     MAX_SCAN_NODES,
+    MIN_SCAN_NODES,
     SCAN_NODES_PER_PERIOD,
     _flat_runs,
     _passage_distance,
@@ -72,8 +73,7 @@ def _apply_oracle(L: LindbladModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_passage_oracle(rho0, generator, rho_target, tol=1e-9, t_max=2 * np.pi,
-                          scan_nodes=1000):
+def _first_passage_oracle(rho0, generator, rho_target, tol=1e-9, t_max=2 * np.pi):
     """first_passage_time with the library's scan and brackets, each bracket
     refined one scalar time at a time: golden-section search to 1e-12 for
     its minimum, then bisection to 1e-10 for the crossing below tol. The
@@ -83,7 +83,7 @@ def _first_passage_oracle(rho0, generator, rho_target, tol=1e-9, t_max=2 * np.pi
     def dist(t):
         return float(dists(np.array([t]))[0])
 
-    n = max(scan_nodes, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
+    n = max(MIN_SCAN_NODES, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
     assert n <= MAX_SCAN_NODES
     ts = np.linspace(0.0, t_max, n)
     ds = dists(ts)

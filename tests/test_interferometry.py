@@ -189,6 +189,23 @@ def test_protocol_exact_small_angles():
         assert abs(tl - direct) <= 1e-10 * direct
 
 
+def test_protocol_exact_rank_deficient():
+    # a rank-r state's last d - r characteristic coefficients are roundoff;
+    # set to 0, its zero eigenvalues come back exact, and Tr sqrt(rho1) with
+    # them (a recovered 1e-9 would move it by 3e-5)
+    for d in range(2, 7):
+        for rank in range(1, d + 1):
+            for i in range(20):
+                seed = 5000 + 100 * d + 10 * rank + 1000 * i
+                rho = random_state(d, rank, seed)
+                H = random_observable(d, seed + 1)
+                tl, _ = estimate_tl_from_protocol(rho, H, 0.5)
+                direct = tl_bound(rho, H, evolve_unitary(rho, H, 0.5))
+                assert abs(tl - direct) <= 1e-10 * direct, (d, rank, seed)
+    eigs = eigs_from_power_sums(power_sums(random_state(5, 1, 5194), 5))
+    assert np.all(eigs[1:] == 0.0)
+
+
 def test_protocol_exact_case3():
     tl, err = estimate_tl_from_protocol(CASE3_RHO, CASE3_H, CASE3_T)
     assert err == 0.0
@@ -299,9 +316,14 @@ def test_estimate_fidelity_exact_matches_uhlmann():
             assert abs(estimate_fidelity_exact(rho1, rho2) - uhlmann_fidelity(rho1, rho2)) < tol
 
 
-def test_import_does_not_load_scipy_optimize():
+@pytest.mark.parametrize("module, heavy", [
+    ("qsl_lab.interferometry", "scipy.optimize"),
+    ("qsl_lab.bounds", "scipy.integrate"),
+    ("qsl_lab.cli", "scipy.integrate"),
+])
+def test_import_does_not_load(module, heavy):
     src = str(Path(qsl_lab.__file__).resolve().parents[1])
-    code = "import sys, qsl_lab.interferometry; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, {module}; print({heavy!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "False"

@@ -84,6 +84,16 @@ def test_unitary_of_with_phase_offset():
     assert np.allclose(U, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: bloch_hamiltonian([0, 0, 1], omega=0),
+    lambda: bloch_hamiltonian([0, 0, 1], omega=-1),
+    lambda: Observable(PAULI_Z, hbar=0),
+], ids=["omega_zero", "omega_negative", "hbar_zero"])
+def test_nonpositive_omega_or_hbar_raises(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_unitary_group_property():
     H = Observable(PAULI_X + 0.3 * PAULI_Z)
     assert np.allclose(unitary_of(H, 0.4) @ unitary_of(H, 0.9),
