@@ -12,7 +12,6 @@ import numpy as np
 from .coherence import (
     _bures_angle,
     _chord_angle,
-    clamp_acos_arg,
     relative_purity,
     sld_qfi,
     variance,
@@ -227,14 +226,6 @@ def elimination_inequality_check(rho_ab: QuantumState, H_a: Observable,
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
-def acos_mixing_lemma(x: float, y: float, p: float) -> tuple[float, float, bool]:
-    """acos(px + (1-p)y) <= sqrt(p) acos x + sqrt(1-p) acos y on [0,1]^3."""
-    lhs = float(np.arccos(clamp_acos_arg(p * x + (1 - p) * y)))
-    rhs = float(np.sqrt(p) * np.arccos(clamp_acos_arg(x))
-                + np.sqrt(1 - p) * np.arccos(clamp_acos_arg(y)))
-    return lhs, rhs, lhs <= rhs + 1e-12
-
-
 def system_environment_bound(rho0_s: QuantumState, gamma_e: QuantumState,
                              H_se: Observable, rhotau_s: QuantumState,
                              diagnostics: bool = False):
@@ -338,53 +329,6 @@ def campo_markovian_bound(rho0: QuantumState, L: LindbladModel, tau: float) -> f
     if avg <= 1e-14:
         return 0.0
     return abs(1.0 - f) * np.sqrt(rho0.purity()) / avg
-
-
-def _simple_case_lambda(lambda1: float, tau: float) -> float:
-    if lambda1 >= 0:
-        raise ValueError("decay constant must be negative")
-    return float(np.exp(lambda1 * tau))
-
-
-def simple_case_avg_coherence(lambda1: float, tau: float) -> float:
-    """Closed-form time average of sqrt(2Q) for the single-decay channel
-    (r = (1,0,0), lambda3 = 0, w_eq = 0), integrating the printed Q(rho_t, L):
-
-        avg = (1/2tau) [ (1/2 + pi/4)
-                         - (Lam/2) sqrt(2 - Lam^2) - asin(Lam/sqrt 2) ].
-    """
-    lam = _simple_case_lambda(lambda1, tau)
-    return (0.5 + np.pi / 4.0
-            - 0.5 * lam * np.sqrt(2.0 - lam**2)
-            - np.arcsin(lam / np.sqrt(2.0))) / (2.0 * tau)
-
-
-def simple_case_bound_closed_form(lambda1: float, tau: float) -> float:
-    """acos[(1 + Lam)/2] over simple_case_avg_coherence.
-
-    Not a speed limit: the average integrates the semigroup square-root
-    speed sqrt(2Q(rho_t, L)), which for amplitude damping is not the speed
-    of sqrt(rho_t), and the quotient exceeds tau (1.47, 2.20, 5.08 at
-    tau = 0.5, 1, 3 for lambda1 = -0.9, where markovian_bound gives tau).
-    """
-    lam = _simple_case_lambda(lambda1, tau)
-    return float(np.arccos((1.0 + lam) / 2.0)) / simple_case_avg_coherence(lambda1, tau)
-
-
-def simple_case_bound_verbatim(lambda1: float, tau: float) -> float:
-    """The printed curve formula, kept exactly as written:
-
-        2 tau acos[(1+Lam)/2] /
-        | Lam sqrt(1/4 - (Lam/2) sinh(lambda1 tau)) + asin(Lam/sqrt 2)
-          - (1/2 + 3pi/4) |.
-
-    The 3pi/4 constant disagrees with the direct integral (pi/4); both
-    variants are emitted by the curve command so the discrepancy is visible.
-    """
-    lam = _simple_case_lambda(lambda1, tau)
-    denom = abs(lam * np.sqrt(0.25 - 0.5 * lam * np.sinh(lambda1 * tau))
-                + np.arcsin(lam / np.sqrt(2.0)) - (0.5 + 0.75 * np.pi))
-    return 2.0 * tau * float(np.arccos((1.0 + lam) / 2.0)) / denom
 
 
 @dataclass(frozen=True)

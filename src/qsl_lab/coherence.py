@@ -55,17 +55,6 @@ def wy_coherence(rho: QuantumState, H: Observable) -> float:
     return max(q, 0.0)
 
 
-def wy_lower_bound(rho: QuantumState, H: Observable) -> float:
-    """Commutator quantity -Tr([rho, H]^2) / 2.
-
-    Lower-bounds 2 Q(rho, H) (not Q itself: mixed qubits violate that
-    tighter ordering, e.g. purity ~0.9 states with generic H).
-    """
-    _check_dims(rho, H)
-    c = commutator(rho.matrix, H.matrix)
-    return max(_real(-0.5 * np.trace(c @ c)), 0.0)
-
-
 def affinity(rho1: QuantumState, rho2: QuantumState) -> float:
     """A(rho1, rho2) = Tr(sqrt(rho1) sqrt(rho2)), clamped to [0, 1]."""
     _check_dims(rho1, rho2)
@@ -128,22 +117,3 @@ def lindblad_coherence(rho: QuantumState, L) -> float:
     two_q = _real(np.trace(Ls @ Ls.conj().T)) - abs(np.trace(s @ Ls)) ** 2
     return max(two_q / 2.0, 0.0)
 
-
-def chain_diagnostics(rho: QuantumState, H: Observable) -> dict:
-    """Compare the variance / QFI / coherence chain in both normalizations.
-
-    Reports whether dH >= sqrt(F_Q)/2 >= sqrt(Q) and the variant with
-    sqrt(2Q) hold; the 2Q variant fails for near-pure states.
-    """
-    dh = float(np.sqrt(variance(rho, H)))
-    half_sqrt_fq = float(np.sqrt(sld_qfi(rho, H))) / 2.0
-    sq = float(np.sqrt(wy_coherence(rho, H)))
-    slack = 1e-10
-    return {
-        "delta_h": dh,
-        "half_sqrt_qfi": half_sqrt_fq,
-        "sqrt_q": sq,
-        "sqrt_2q": float(np.sqrt(2.0) * sq),
-        "chain_q_holds": dh + slack >= half_sqrt_fq >= sq - slack,
-        "chain_2q_holds": dh + slack >= half_sqrt_fq >= np.sqrt(2.0) * sq - slack,
-    }

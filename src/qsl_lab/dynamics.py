@@ -128,15 +128,18 @@ def build_superoperator(L: LindbladModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One propagation evaluated at every node of a time grid.
+    """One orbit, of either generator kind, at every node of a time grid
+    (see orbit).
 
-    eigenvalues (n, d, descending) and eigenvectors (n, d, d) are the
-    clipped, renormalised spectra, one eigendecomposition per node; states
-    and roots, the (n, d, d) stacks of the density matrices and of their
-    positive square roots, are built from them on first use. clipped_mass
-    is the total weight of the negative eigenvalues set to zero,
-    max_herm_repair the largest Hermiticity deviation removed, both over
-    all nodes.
+    eigenvalues (n, d, descending) and eigenvectors (n, d, d) are the cut
+    spectra. Under a Lindblad generator they come from one
+    eigendecomposition per node, clipped and renormalised; under a
+    Hamiltonian the spectrum is rho0's at every node and the eigenvectors
+    are U(t) V0. states and roots, the (n, d, d) stacks of the density
+    matrices and of their positive square roots, are built from them on
+    first use. clipped_mass is the total weight of the negative eigenvalues
+    set to zero, max_herm_repair the largest Hermiticity deviation removed,
+    both over all nodes and both 0 for a Hamiltonian orbit.
     """
 
     eigenvalues: np.ndarray
@@ -192,9 +195,7 @@ class LindbladPropagator:
         deviation <= REHERM_TOL and no eigenvalue below -STATE_EIG_TOL, else
         InvalidStateProduced; then negative eigenvalues are clipped and the
         trace renormalised."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1 or ts.size == 0:
-            raise BadGrid("need a non-empty 1-D array of times")
+        ts = _time_grid(ts)
         d = rho0.dim
         M = self.evolve_vec(rho0.matrix.reshape(-1), ts).reshape(ts.size, d, d)
         herm_dev = float(np.abs(M - _dagger(M)).max())
@@ -212,6 +213,14 @@ class LindbladPropagator:
         return self.trajectory(rho0, [t])._state(0)
 
 
+def _time_grid(ts) -> np.ndarray:
+    """ts as a float array; BadGrid unless it is 1-D and non-empty."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise BadGrid("need a non-empty 1-D array of times")
+    return ts
+
+
 def _clip_spectra(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ascending Hermitian spectra (from eigh) as descending cut
     spectra: eigenvalues at or below EIG_CUT become 0 and each spectrum is
@@ -224,6 +233,21 @@ def evolve_unitary(rho0: QuantumState, H: Observable, t: float) -> QuantumState:
     """U(t) rho0 U(t)† with U = exp(+iHt/hbar): the state (w0, U V0), whose
     spectrum is rho0's, unchanged."""
     return QuantumState._from_spectrum(rho0.eigenvalues, unitary_of(H, t) @ rho0.eigenvectors)
+
+
+def orbit(rho0: QuantumState, generator, ts) -> Trajectory:
+    """rho0 propagated to every node of the 1-D time grid ts (any order).
+
+    A Lindblad generator gives its propagator's trajectory. A Hamiltonian
+    gives rho0's spectrum at every node and the eigenvectors U(t) V0 from
+    one stacked unitary, with no eigh; its two health counters are 0.
+    """
+    if not isinstance(generator, Observable):
+        return generator._propagator.trajectory(rho0, ts)
+    ts = _time_grid(ts)
+    return Trajectory(np.broadcast_to(rho0.eigenvalues, (ts.size, rho0.dim)),
+                      unitary_of(generator, ts) @ rho0.eigenvectors,
+                      clipped_mass=0.0, max_herm_repair=0.0)
 
 
 def evolve_lindblad(rho0: QuantumState, L: LindbladModel, t: float) -> QuantumState:
@@ -352,28 +376,14 @@ def affinity_closed_form_markovian(r, eigenvalues, w_eq: float, t: float) -> flo
     return 0.5 * (s0 * st + float(np.dot(r, r_t)) / (s0 * st))
 
 
-@dataclass(frozen=True)
-class EvolutionPath:
-    times: np.ndarray
-    states: tuple
-
-
-def evolve_path(rho0: QuantumState, generator, times) -> EvolutionPath:
-    """Propagate rho0 to every node of an ascending time grid."""
-    times = np.asarray(times, dtype=float)
-    if isinstance(generator, Observable):
-        states = tuple(evolve_unitary(rho0, generator, t) for t in times)
-    else:
-        traj = generator._propagator.trajectory(rho0, times)
-        states = tuple(traj._state(k) for k in range(times.size))
-    return EvolutionPath(times=times, states=states)
-
-
 def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
-    """(dist, frequency): dist maps an array of times to the distances
-    ||rho(t) - rho_target||_F, and frequency is the generator's fastest
-    angular frequency, (w_max - w_min)/hbar for a Hamiltonian and the
-    largest |Im lambda| of S for a Lindblad generator.
+    """(dist, frequency, rate): dist maps an array of times to the distances
+    ||rho(t) - rho_target||_F, frequency is the generator's fastest angular
+    frequency, (w_max - w_min)/hbar for a Hamiltonian and the largest
+    |Im lambda| of S for a Lindblad generator, and rate bounds
+    ||d rho/dt||_F along the orbit: ||[H, rho0]||_F / hbar for a
+    Hamiltonian (constant along the orbit), ||S||_F for a Lindblad
+    generator (as ||rho_t||_F <= 1).
 
     In H's eigenbasis the diagonal of rho(t) is constant and entry (k, j)
     is the conjugate of (j, k), so dist^2 = sum_j |rho_jj - target_jj|^2
@@ -399,7 +409,9 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
             diff -= tgt_up
             return np.sqrt(diag_sq + 2.0 * _row_sq_norms(diff))
 
-        return dist, (w[0] - w[-1]) / generator.hbar
+        h_rho = generator.matrix @ rho0.matrix  # [H, rho0] = H rho0 - (H rho0)†
+        rate = np.linalg.norm(h_rho - h_rho.conj().T) / generator.hbar
+        return dist, (w[0] - w[-1]) / generator.hbar, rate
     prop = generator._propagator
     v0, v_target = rho0.matrix.reshape(-1), target.reshape(-1)
 
@@ -408,7 +420,7 @@ def _passage_distance(rho0: QuantumState, generator, rho_target: QuantumState):
         diff -= v_target
         return np.sqrt(_row_sq_norms(diff))
 
-    return dist, prop.max_frequency
+    return dist, prop.max_frequency, np.linalg.norm(generator.S)
 
 
 def _row_sq_norms(diff: np.ndarray) -> np.ndarray:
@@ -472,16 +484,14 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     the scan itself is at or below tol at a bracket's minimum, only the
     crossing is zoomed, from the last scan node above tol before it.
 
-    The distance moves no faster than ||d rho/dt||_F <= rate:
-    ||[H, rho0]||_F / hbar for a Hamiltonian (constant along the orbit),
-    ||S||_F for a Lindblad generator (as ||rho_t||_F <= 1). Every time in a
-    bracket lies within half a scan step h of a scan node, so a bracket
-    whose scan minimum exceeds tol + rate h / 2 cannot reach tol and is
-    skipped without a search.
+    The distance moves no faster than ||d rho/dt||_F <= rate (see
+    _passage_distance). Every time in a bracket lies within half a scan
+    step h of a scan node, so a bracket whose scan minimum exceeds
+    tol + rate h / 2 cannot reach tol and is skipped without a search.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    dists, freq = _passage_distance(rho0, generator, rho_target)
+    dists, freq, rate = _passage_distance(rho0, generator, rho_target)
     n = max(MIN_SCAN_NODES, int(np.ceil(SCAN_NODES_PER_PERIOD * t_max * freq / (2 * np.pi))) + 1)
     if n > MAX_SCAN_NODES:
         raise BadGrid(f"first-passage scan needs {n} nodes, above the cap {MAX_SCAN_NODES} "
@@ -490,11 +500,6 @@ def first_passage_time(rho0: QuantumState, generator, rho_target: QuantumState,
     ds = dists(ts)
     if ds[0] <= tol:
         return 0.0
-    if isinstance(generator, Observable):
-        h_rho = generator.matrix @ rho0.matrix  # [H, rho0] = H rho0 - (H rho0)†
-        rate = np.linalg.norm(h_rho - h_rho.conj().T) / generator.hbar
-    else:
-        rate = np.linalg.norm(generator.S)
     reachable = tol + rate * (ts[1] - ts[0]) / 2
     # candidate minima of the sampled distance, earliest first; a minimum
     # inside the first step shows only as ds[0] <= ds[1]

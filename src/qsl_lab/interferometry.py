@@ -10,7 +10,7 @@ import numpy as np
 from .coherence import _chord_angle, clamp_acos_arg
 from .dynamics import evolve_unitary
 from .errors import BadN, DimMismatch, IllConditioned, ZeroShots
-from .operator_core import Observable, QuantumState, commutator, hermitianize
+from .operator_core import Observable, QuantumState, commutator
 
 DEGENERACY_GAP = 1e-8
 # root clustering in eigs_from_power_sums
@@ -121,17 +121,9 @@ def eigs_from_power_sums(moments) -> np.ndarray:
     return np.sort(w)[::-1]
 
 
-def prepare_sigma(eigenvalues, u_tilde) -> QuantumState:
-    """U diag(sqrt(l_i) / sum sqrt(l_j)) U†."""
-    w = np.sqrt(np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None))
-    w = w / w.sum()
-    U = np.asarray(u_tilde, dtype=complex)
-    return QuantumState(hermitianize((U * w) @ U.conj().T))
-
-
 def _sigma_of(rho1: QuantumState) -> QuantumState:
-    """prepare_sigma in rho1's own eigenbasis: the spectrum sqrt(w)/sum sqrt(w)
-    with rho1's eigenvectors, so no eigh."""
+    """sigma1 = sqrt(rho1)/Tr sqrt(rho1), built in rho1's own eigenbasis: the
+    spectrum sqrt(w)/sum sqrt(w) with rho1's eigenvectors, so no eigh."""
     w = np.sqrt(rho1.eigenvalues)
     return QuantumState._from_spectrum(w / w.sum(), rho1.eigenvectors)
 
@@ -164,20 +156,6 @@ def basis_alignment_search(rho1: QuantumState, shots: int | None = None,
         measured = sample_swap_test(sigma, rho1, shots, seed)
         res = abs(measured.value - targets[0])
     return PreparedState(sigma1=sigma, alignment_residual=res, iterations=0)
-
-
-def estimate_fidelity_exact(rho1: QuantumState, rho2: QuantumState) -> float:
-    """Fidelity from the prepared sigma1 = sqrt(rho1)/Tr sqrt(rho1) and rho2
-    (exact mode only): F = Tr sqrt(rho1) * Tr sqrt(sigma1 rho2 sigma1).
-
-    Tr sqrt(sigma1 rho2 sigma1) is taken as the sum of the singular values of
-    sqrt(rho2) sigma1: the eigenvalues of sigma1 rho2 sigma1 would include
-    roundoff (~1e-17) for a rank-deficient rho1, which a square root lifts
-    to ~3e-9.
-    """
-    s = _sigma_of(rho1).matrix
-    f = np.sqrt(rho1.eigenvalues).sum() * np.linalg.svd(rho2.sqrt() @ s, compute_uv=False).sum()
-    return min(1.0, max(0.0, float(f)))
 
 
 def estimate_tl_from_protocol(rho1: QuantumState, H: Observable, t: float,

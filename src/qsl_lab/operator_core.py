@@ -19,7 +19,6 @@ from .errors import (
     NonHermitian,
 )
 
-HERM_TOL = 1e-9
 EIG_CLIP_TOL = 1e-10
 TRACE_TOL = 1e-12
 # Eigenvalues at or below this are roundoff and are set to 0 where a spectrum
@@ -61,18 +60,6 @@ def _as_matrix(obj) -> np.ndarray:
     if isinstance(obj, (QuantumState, Observable)):
         return obj.matrix
     return np.asarray(obj, dtype=complex)
-
-
-def hermitian_eig(M) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix (to HERM_TOL).
-
-    Returns (eigenvalues descending, eigenvectors as columns).
-    """
-    A = _as_matrix(M)
-    if herm_deviation(A) > HERM_TOL:
-        raise NonHermitian(f"deviation {herm_deviation(A):.3e} exceeds {HERM_TOL:.1e}")
-    w, V = np.linalg.eigh(hermitianize(A))
-    return w[::-1].copy(), V[:, ::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -159,15 +146,18 @@ class Observable:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues descending, eigenvectors), computed on first use."""
-        return hermitian_eig(self.matrix)
+        """(eigenvalues descending, eigenvectors), computed on first use; the
+        constructor has already made the matrix exactly Hermitian."""
+        w, V = np.linalg.eigh(self.matrix)
+        return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def unitary_of(H: Observable, t: float) -> np.ndarray:
-    """exp(+i H t / hbar); this sign convention is used package-wide."""
+def unitary_of(H: Observable, t) -> np.ndarray:
+    """exp(+i H t / hbar) for a time t, or the (n, d, d) stack of them for a
+    1-D array of n times; this sign convention is used package-wide."""
     w, V = H._spectrum
-    phase = np.exp(1j * w * t / H.hbar)
-    return (V * phase) @ V.conj().T
+    phase = np.exp(1j * np.multiply.outer(t, w) / H.hbar)
+    return (V * phase[..., None, :]) @ V.conj().T
 
 
 def commutator(A, B) -> np.ndarray:

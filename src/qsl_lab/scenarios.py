@@ -21,16 +21,14 @@ from .bounds import (
     campo_markovian_bound,
     markovian_bound,
     mixing_inequality_check,
-    simple_case_bound_closed_form,
-    simple_case_bound_verbatim,
     tl_bound,
 )
 from .coherence import affinity
 from .dynamics import (
     LindbladModel,
-    evolve_path,
     evolve_unitary,
     first_passage_time,
+    orbit,
     squeezed_vacuum_model,
 )
 from .errors import IoError, NotReached, ParseError, QslError, ValidationError
@@ -274,10 +272,15 @@ def _run_sweep(sc: Scenario) -> ResultTable:
 def _run_evolve(sc: Scenario) -> ResultTable:
     name = "rho0" if "rho0" in sc.states else "rho1"
     (rho0,) = _need(sc, name)
+    for field_name, value in (("time", sc.time), ("generator", sc.generator)):
+        if value is None:
+            raise ValidationError(f"{field_name}: required by task '{sc.task}'")
     grid = sc.time if isinstance(sc.time, np.ndarray) else np.linspace(0.0, float(sc.time), 51)
+    traj = orbit(rho0, sc.generator, grid)
     qubit = rho0.dim == 2
     rows = []
-    for t, rho_t in zip(grid, evolve_path(rho0, sc.generator, grid).states):
+    for k, t in enumerate(grid):
+        rho_t = traj._state(k)
         row = [float(t), rho_t.purity(), affinity(rho0, rho_t)]
         if qubit:
             row.extend(float(x) for x in state_to_bloch(rho_t.matrix))
@@ -313,13 +316,10 @@ def _simple_case_model(lambda1: float):
 def markovian_curve(lambda1: float, tau_grid) -> ResultTable:
     """Bound-vs-time curve for the single-decay-channel model.
 
-    Columns: the path-length bound (<= tau on any grid), the
-    relative-purity competitor on the same endpoints, and the two
-    closed-form variants of the average-coherence quotient (as printed /
-    with the corrected constant). Those two integrate the semigroup
-    square-root speed sqrt(2Q(rho_t, L)), which is not the speed of
-    sqrt(rho_t) for this amplitude-damping model, so they are not bounds:
-    avg_coherence_closed_form exceeds tau (5.08 at tau = 3, lambda1 = -0.9).
+    Columns: tau, the path-length bound (<= tau on any grid) and the
+    relative-purity competitor on the same endpoints. The metadata give the
+    first tau where the path-length bound overtakes the competitor and
+    whether it ends above it.
     """
     taus = np.asarray(tau_grid, dtype=float)
     model, rho0 = _simple_case_model(lambda1)
@@ -329,8 +329,6 @@ def markovian_curve(lambda1: float, tau_grid) -> ResultTable:
             float(tau),
             markovian_bound(rho0, model, float(tau)),
             campo_markovian_bound(rho0, model, float(tau)),
-            simple_case_bound_verbatim(lambda1, float(tau)),
-            simple_case_bound_closed_form(lambda1, float(tau)),
         ])
     crossover = None
     for prev, cur in zip(rows, rows[1:]):
@@ -338,8 +336,7 @@ def markovian_curve(lambda1: float, tau_grid) -> ResultTable:
             crossover = cur[0]
             break
     exceeds_at_end = bool(rows[-1][1] > rows[-1][2]) if rows else False
-    cols = ("tau", "markovian_bound", "campo_style", "closed_form_verbatim",
-            "avg_coherence_closed_form")
+    cols = ("tau", "markovian_bound", "campo_style")
     return ResultTable(columns=cols, rows=rows,
                        metadata={"lambda1": lambda1, "crossover_tau": crossover,
                                  "exceeds_campo_at_end": exceeds_at_end,

@@ -4,7 +4,6 @@ import pytest
 
 from qsl_lab.bounds import (
     DEFAULT_ALPHA_GRID,
-    acos_mixing_lemma,
     alpha_bound,
     alpha_bound_max,
     bargmann_angle,
@@ -17,9 +16,6 @@ from qsl_lab.bounds import (
     mixing_inequality_check,
     mt_fidelity_bound,
     qfi_bound,
-    simple_case_avg_coherence,
-    simple_case_bound_closed_form,
-    simple_case_bound_verbatim,
     system_environment_bound,
     tl_bound,
     u_quantity,
@@ -272,17 +268,6 @@ def test_elimination_inequality():
         assert ok
 
 
-def test_acos_mixing_lemma_grid():
-    grid = np.arange(0.0, 1.0 + 1e-12, 0.05)
-    for x in grid:
-        for y in grid:
-            for p in grid:
-                _, _, ok = acos_mixing_lemma(float(x), float(y), float(p))
-                assert ok
-    lhs, rhs, _ = acos_mixing_lemma(0.4, 0.4, 1.0)
-    assert abs(lhs - rhs) < 1e-12
-
-
 def test_system_environment_bound():
     rho_s = random_state(2, 2, 13)
     gamma = random_state(2, 2, 14)
@@ -422,20 +407,6 @@ def test_campo_markovian_bound_node_cap():
     L = LindbladModel(Observable(1e5 * PAULI_Z), (SIGMA_MINUS,), np.array([[0.1]]))
     with pytest.raises(BadGrid):
         campo_markovian_bound(bloch_to_state([1, 0, 0]), L, 100.0)
-
-
-def test_simple_case_closed_forms_consistent():
-    # verbatim and corrected variants differ only by the printed 3pi/4 constant
-    for tau in (0.5, 1.5, 4.0):
-        lam = np.exp(-0.9 * tau)
-        verb = simple_case_bound_verbatim(-0.9, tau)
-        corr = simple_case_bound_closed_form(-0.9, tau)
-        x = 0.5 * lam * np.sqrt(2 - lam**2) + np.arcsin(lam / np.sqrt(2))
-        assert abs(verb - 2 * tau * np.arccos((1 + lam) / 2) / abs(x - 0.5 - 0.75 * np.pi)) < 1e-12
-        avg = simple_case_avg_coherence(-0.9, tau)
-        assert abs(avg - (0.5 + np.pi / 4 - x) / (2 * tau)) < 1e-12
-        assert abs(corr * avg - np.arccos((1 + lam) / 2)) < 1e-12
-        assert verb <= tau + 1e-9  # the printed curve stays below tau
 
 
 def test_bound_report_fields_and_digest():

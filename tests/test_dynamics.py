@@ -17,9 +17,9 @@ from qsl_lab.dynamics import (
     build_superoperator,
     damping_basis_evolution,
     evolve_lindblad,
-    evolve_path,
     evolve_unitary,
     first_passage_time,
+    orbit,
     qubit_evolution_closed_form,
     sqrt_evolution_diagnostic,
     squeezed_vacuum_model,
@@ -78,7 +78,7 @@ def _first_passage_oracle(rho0, generator, rho_target, tol=1e-9, t_max=2 * np.pi
     refined one scalar time at a time: golden-section search to 1e-12 for
     its minimum, then bisection to 1e-10 for the crossing below tol. The
     reference that the broadcast zoom is checked against."""
-    dists, freq = _passage_distance(rho0, generator, rho_target)
+    dists, freq, _ = _passage_distance(rho0, generator, rho_target)
 
     def dist(t):
         return float(dists(np.array([t]))[0])
@@ -301,6 +301,48 @@ def test_evolve_unitary_keeps_spectrum_exactly(d):
             assert np.array_equal(evolve_unitary(rho, H, t).eigenvalues, rho.eigenvalues)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_orbit_hamiltonian_matches_per_node(d, monkeypatch):
+    # rho0's spectrum at every node, U(t) V0 as the eigenvectors, and no eigh
+    H = random_observable(d, 80 + d, hbar=0.8)
+    states = [random_state(d, rank, 90 + 10 * d + rank) for rank in sorted({1, 2, d})]
+    H._spectrum  # H's one decomposition, taken before eigh is counted
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    ts = np.linspace(0.0, 3.0, 11)[::-1]
+    for rho0 in states:
+        traj = orbit(rho0, H, ts)
+        assert traj.clipped_mass == 0.0 and traj.max_herm_repair == 0.0
+        assert traj.eigenvalues.shape == (ts.size, d)
+        assert (traj.eigenvalues == rho0.eigenvalues).all()
+        for k, t in enumerate(ts):
+            single = evolve_unitary(rho0, H, t)
+            assert np.abs(traj.eigenvectors[k] - single.eigenvectors).max() < 1e-13
+            assert np.abs(traj.states[k] - single.matrix).max() < 1e-13
+            assert np.abs(traj._state(k).matrix - single.matrix).max() < 1e-13
+    assert calls == []
+
+
+def test_orbit_lindblad_is_the_propagator_trajectory():
+    L, rho0 = _random_model(3, 40), random_state(3, 2, 41)
+    ts = np.linspace(0.0, 2.0, 9)
+    got, want = orbit(rho0, L, ts), L._propagator.trajectory(rho0, ts)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+    assert got.clipped_mass == want.clipped_mass
+    assert got.max_herm_repair == want.max_herm_repair
+
+
+@pytest.mark.parametrize("ts", [[], [[0.1, 0.2]], 0.5], ids=["empty", "2d", "scalar"])
+@pytest.mark.parametrize("kind", ["hamiltonian", "lindblad"])
+def test_orbit_rejects_bad_grids(kind, ts):
+    gen = bloch_hamiltonian([0, 0, 1]) if kind == "hamiltonian" else squeezed_vacuum_model(
+        0.3, 0.5, 0.2)[0]
+    with pytest.raises(BadGrid):
+        orbit(bloch_to_state([0.3, 0.2, 0.5]), gen, ts)
+
+
 @pytest.mark.parametrize("model", ["eigen_path", "expm_path"])
 def test_non_cp_model_raises(model):
     import warnings
@@ -488,12 +530,12 @@ def test_first_passage_broadcast_count(monkeypatch):
     calls = []
 
     def counted(*args):
-        dists, freq = _passage_distance(*args)
+        dists, freq, rate = _passage_distance(*args)
 
         def wrapper(ts):
             calls.append(np.size(ts))
             return dists(ts)
-        return wrapper, freq
+        return wrapper, freq, rate
 
     monkeypatch.setattr(qsl_lab.dynamics, "_passage_distance", counted)
     rho = bloch_to_state([1, 0, 0])
@@ -525,12 +567,12 @@ def test_first_passage_skips_unreachable_minima(monkeypatch):
     calls = []
 
     def counted(*args):
-        dists, freq = _passage_distance(*args)
+        dists, freq, rate = _passage_distance(*args)
 
         def wrapper(ts):
             calls.append(np.size(ts))
             return dists(ts)
-        return wrapper, freq
+        return wrapper, freq, rate
 
     H = bloch_hamiltonian([0.6, 0, 0.8], omega=30)
     rho = bloch_to_state([0.5, 0.3, -0.2])
@@ -559,7 +601,7 @@ def test_first_passage_below_tol_before_the_bracket():
     L = LindbladModel(None, (SIGMA_MINUS,), np.array([[1.0]]))
     rho0 = bloch_to_state([0.3, 0.2, 0.5])
     target = evolve_lindblad(rho0, L, 200.0)
-    dist, _ = _passage_distance(rho0, L, target)
+    dist, _, _ = _passage_distance(rho0, L, target)
     t = first_passage_time(rho0, L, target, tol=1e-9, t_max=60.0)
     assert dist(np.array([t]))[0] <= 1e-9 < dist(np.array([t - 1e-10]))[0]
     assert abs(t - 38.7132) < 1e-4
@@ -578,7 +620,7 @@ def test_passage_scan_matches_scalar_distance(model):
         gen = _cascade(0.6)
     target = random_state(rho0.dim, 1, 26)
     ts = np.linspace(0.0, 4.0, 57)
-    dist, freq = _passage_distance(rho0, gen, target)
+    dist, freq, _ = _passage_distance(rho0, gen, target)
     if model == "unitary":
         w = np.linalg.eigvalsh(gen.matrix)
         assert freq == pytest.approx(w[-1] - w[0], rel=1e-12)
@@ -626,9 +668,9 @@ def test_first_passage_node_cap():
 def test_evolution_path_trace_and_tags():
     rho = random_state(2, 2, 12)
     H = random_observable(2, 13)
-    path = evolve_path(rho, H, np.linspace(0, 2, 9))
+    path = orbit(rho, H, np.linspace(0, 2, 9))
     for s in path.states:
-        assert abs(np.trace(s.matrix).real - 1.0) < 1e-10
+        assert abs(np.trace(s).real - 1.0) < 1e-10
 
 
 def test_sqrt_evolution_diagnostic():

@@ -8,16 +8,13 @@ import pytest
 
 import qsl_lab
 from qsl_lab.bounds import tl_bound
-from qsl_lab.coherence import uhlmann_fidelity
 from qsl_lab.dynamics import evolve_unitary
 from qsl_lab.errors import BadN, DimMismatch, IllConditioned, ZeroShots
 from qsl_lab.interferometry import (
     basis_alignment_search,
     eigs_from_power_sums,
-    estimate_fidelity_exact,
     estimate_tl_from_protocol,
     power_sums,
-    prepare_sigma,
     sample_swap_test,
     swap_test_probability,
 )
@@ -92,7 +89,7 @@ def test_eigs_from_power_sums_round_trips():
 
 
 def test_prepare_sigma_example():
-    sigma = prepare_sigma([0.9, 0.1], np.eye(2))
+    sigma = basis_alignment_search(QuantumState(np.diag([0.9, 0.1]))).sigma1
     s = 3 / (3 + 1)  # sqrt(0.9)/(sqrt(0.9) + sqrt(0.1)) = 3/4
     assert np.allclose(sigma.matrix, np.diag([s, 1 - s]), atol=1e-12)
 
@@ -102,8 +99,8 @@ def test_alignment_exact_mode():
     prep = basis_alignment_search(diag)
     assert prep.iterations == 0
     assert prep.alignment_residual < 1e-12
-    assert np.allclose(prep.sigma1.matrix, prepare_sigma([0.7, 0.3], np.eye(2)).matrix,
-                       atol=1e-12)
+    s = np.sqrt([0.7, 0.3])
+    assert np.allclose(prep.sigma1.matrix, np.diag(s / s.sum()), atol=1e-12)
 
     rho = bloch_to_state([0.6, 0.0, 0.3])
     prep = basis_alignment_search(rho)
@@ -117,25 +114,24 @@ def test_prepare_sigma_rotated_basis():
     U = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3))
                      + 1j * np.random.default_rng(6).normal(size=(3, 3)))[0]
     w = np.sqrt([0.6, 0.3, 0.1])
-    sigma = prepare_sigma([0.6, 0.3, 0.1], U)
+    sigma = basis_alignment_search(QuantumState((U * [0.6, 0.3, 0.1]) @ U.conj().T)).sigma1
     assert np.abs(sigma.matrix - (U * (w / w.sum())) @ U.conj().T).max() < 1e-14
 
 
 def test_prepared_sigma_reuses_the_spectrum(monkeypatch):
     # sigma1 is built from rho1's cached spectrum, in both modes, with no eigh
-    rho1, rho2 = random_state(4, 4, 61), random_state(4, 3, 62)
+    rho1 = random_state(4, 4, 61)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
     exact = basis_alignment_search(rho1)
     shot = basis_alignment_search(rho1, shots=1000, seed=1)
-    estimate_fidelity_exact(rho1, rho2)
     assert calls == []
     w = np.sqrt(rho1.eigenvalues)
+    V = rho1.eigenvectors
     for prep in (exact, shot):
         assert np.array_equal(prep.sigma1.eigenvalues, w / w.sum())
-        assert np.abs(prep.sigma1.matrix - prepare_sigma(rho1.eigenvalues, rho1.eigenvectors)
-                      .matrix).max() < 1e-15
+        assert np.abs(prep.sigma1.matrix - (V * (w / w.sum())) @ V.conj().T).max() < 1e-15
 
 
 def test_alignment_degenerate_short_circuit():
@@ -151,19 +147,6 @@ def test_alignment_shot_mode_converges():
     assert np.abs(c).max() < 1e-4
     # residual is a sampled quantity at the shot-noise scale
     assert prep.alignment_residual < 0.02
-
-
-def test_estimate_fidelity_exact_oracle():
-    for seed in range(10):
-        rho1 = random_state(2, 2, seed)
-        rho2 = random_state(2, 2, seed + 200)
-        # exact-mode estimate recovers Tr sqrt(rho1 rho2)-type overlap of
-        # sqrt(rho1) with rho2 through the rescaled sigma1
-        got = estimate_fidelity_exact(rho1, rho2)
-        s = rho1.sqrt()
-        wv = np.linalg.eigvals(s @ rho2.matrix @ s)
-        expected = np.sqrt(np.clip(wv.real, 0.0, None)).sum()
-        assert abs(got - expected) < 1e-8
 
 
 def test_protocol_exact_matches_library():
@@ -305,17 +288,6 @@ def test_alignment_shot_mode_is_closed_form():
         assert 0.0 <= prep.alignment_residual < 0.02
 
 
-def test_estimate_fidelity_exact_matches_uhlmann():
-    for d in range(2, 6):
-        for rank in sorted({1, 2, d}):
-            rho1 = random_state(d, rank, 100 * d + rank)
-            rho2 = random_state(d, d, 100 * d + rank + 50)
-            # a rank-deficient rho1 keeps roundoff eigenvalues (~1e-17), and
-            # both sides take their square roots (~3e-9)
-            tol = 1e-12 if rank == d else 2e-8
-            assert abs(estimate_fidelity_exact(rho1, rho2) - uhlmann_fidelity(rho1, rho2)) < tol
-
-
 @pytest.mark.parametrize("module, heavy", [
     ("qsl_lab.interferometry", "scipy.optimize"),
     ("qsl_lab.bounds", "scipy.integrate"),
@@ -328,14 +300,3 @@ def test_import_does_not_load(module, heavy):
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "False"
 
-
-def test_estimate_fidelity_exact_pure_rho1():
-    # for rho1 = |psi><psi| the fidelity is sqrt(<psi|rho2|psi>); the
-    # singular values of sqrt(rho2) sigma1 carry no square-rooted roundoff
-    for d in range(2, 6):
-        for seed in range(5):
-            rho1 = random_state(d, 1, 700 * d + seed)
-            rho2 = random_state(d, d, 800 * d + seed)
-            psi = rho1.eigenvectors[:, 0]
-            want = np.sqrt((psi.conj() @ rho2.matrix @ psi).real)
-            assert abs(estimate_fidelity_exact(rho1, rho2) - want) < 1e-12

@@ -19,7 +19,6 @@ from qsl_lab.operator_core import (
     bloch_hamiltonian,
     bloch_to_state,
     commutator,
-    hermitian_eig,
     partial_trace,
     random_state,
     state_to_bloch,
@@ -28,14 +27,15 @@ from qsl_lab.operator_core import (
 )
 
 
+# the Hermitian eigendecomposition is the one an Observable takes on first use
 def test_hermitian_eig_isotropic():
-    w, V = hermitian_eig(np.eye(2) / 2)
+    w, V = Observable(np.eye(2) / 2)._spectrum
     assert np.allclose(w, [0.5, 0.5])
     assert np.allclose(V.conj().T @ V, np.eye(2), atol=1e-10)
 
 
 def test_hermitian_eig_sigma_z():
-    w, V = hermitian_eig(PAULI_Z)
+    w, V = Observable(PAULI_Z)._spectrum
     assert np.allclose(w, [1.0, -1.0])
     assert np.allclose(np.abs(V), np.eye(2), atol=1e-12)
 
@@ -46,14 +46,14 @@ def test_hermitian_eig_2x2_closed_form():
     tr, det = 1.0, 0.9 * 0.1 - 0.05**2
     disc = np.sqrt(tr**2 - 4 * det)
     expected = np.array([(tr + disc) / 2, (tr - disc) / 2])
-    w, V = hermitian_eig(M)
+    w, V = Observable(M)._spectrum
     assert np.allclose(w, expected, atol=1e-12)
     assert np.linalg.norm((V * w) @ V.conj().T - M) < 1e-10
 
 
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NonHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_psd_sqrt_projector_and_maximally_mixed():
@@ -98,6 +98,15 @@ def test_unitary_group_property():
     H = Observable(PAULI_X + 0.3 * PAULI_Z)
     assert np.allclose(unitary_of(H, 0.4) @ unitary_of(H, 0.9),
                        unitary_of(H, 1.3), atol=1e-10)
+
+
+def test_unitary_of_stacks_times():
+    H = Observable(random_state(4, 4, 31).matrix, hbar=0.7)
+    ts = np.array([0.0, 0.3, -1.1, 2.5])
+    U = unitary_of(H, ts)
+    assert U.shape == (4, 4, 4)
+    for t, U_t in zip(ts, U):
+        assert np.abs(U_t - unitary_of(H, t)).max() < 1e-14
 
 
 def test_commutator_pauli_algebra():
